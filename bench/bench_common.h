@@ -1,5 +1,6 @@
-// Shared scaffolding for the figure-reproduction benches: common CLI flags
-// (scale knobs) and machine selection.
+// Shared scaffolding for the benches and tools: common CLI flags (scale
+// knobs, runtime, TCP endpoint, corpus traffic) and the served-model
+// construction that irgnn_served and net_loadgen must agree on.
 #pragma once
 
 #include <algorithm>
@@ -10,10 +11,14 @@
 #include "core/experiment.h"
 #include "corpus/dataset_cache.h"
 #include "corpus/ingest.h"
+#include "gnn/model.h"
+#include "graph/graph_builder.h"
 #include "graph/program_graph.h"
+#include "serve/request.h"
 #include "support/argparse.h"
 #include "support/table.h"
 #include "tensor/tensor.h"
+#include "workloads/suite.h"
 
 namespace irgnn::bench {
 
@@ -50,6 +55,61 @@ inline ArgParser& add_net_flags(ArgParser& parser,
            "client connections to open (net_loadgen) / accepted-connection "
            "cap (irgnn_served)");
   return parser;
+}
+
+// irgnn_served and net_loadgen run in separate processes but must agree on
+// the served model bit for bit — the loadgen's bit-identity gate compares
+// TCP answers against an in-process model built on the client side. There
+// is no weight shipping: both sides build a gnn::StaticModel from the SAME
+// flags (--hidden/--layers/--labels/--model-seed) through these helpers,
+// and StaticModel's deterministic seeded construction guarantees the two
+// processes hold identical weights. Drift between the binaries' flag
+// handling would silently break that, which is why the flags live here
+// once.
+
+/// The served-model knobs, identical in both binaries.
+inline ArgParser& add_model_flags(ArgParser& parser) {
+  parser.add("hidden", "64", "served model hidden dimension")
+      .add("layers", "3", "served model RGCN layers")
+      .add("labels", "13", "served model label count")
+      .add("model-seed", "24237",
+           "weight seed; server and loadgen must agree (deterministic "
+           "construction is what replaces weight shipping)");
+  return parser;
+}
+
+inline gnn::ModelConfig model_config_from(const ArgParser& parser,
+                                          int threads) {
+  gnn::ModelConfig cfg;
+  cfg.vocab_size = graph::vocabulary_size();
+  cfg.num_labels = static_cast<int>(parser.get_int("labels"));
+  cfg.hidden_dim = static_cast<int>(parser.get_int("hidden"));
+  cfg.num_layers = static_cast<int>(parser.get_int("layers"));
+  cfg.seed = static_cast<std::uint64_t>(parser.get_int("model-seed"));
+  cfg.num_threads = threads;
+  return cfg;
+}
+
+/// The benchmark-suite region graphs — the traffic both binaries speak.
+inline std::vector<graph::ProgramGraph> suite_graphs() {
+  std::vector<graph::ProgramGraph> owned;
+  for (const auto& spec : workloads::benchmark_suite()) {
+    auto module = workloads::build_region_module(spec);
+    owned.push_back(graph::build_graph(*module));
+  }
+  return owned;
+}
+
+inline bool parse_shed_policy(const std::string& name,
+                              serve::ShedPolicy* out) {
+  if (name == "Reject") {
+    *out = serve::ShedPolicy::Reject;
+  } else if (name == "DropOldest") {
+    *out = serve::ShedPolicy::DropOldest;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 /// Registers the corpus traffic-source knobs shared by serve_throughput and

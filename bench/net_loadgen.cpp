@@ -22,7 +22,7 @@
 //   Remote mode (--port != 0). The same closed-loop and pipelined traffic
 //   against an external irgnn_served (CI runs one over loopback), with the
 //   reference model rebuilt locally from the SAME flags — deterministic
-//   construction replaces weight shipping (bench/net_common.h). The
+//   construction replaces weight shipping (bench/bench_common.h). The
 //   bit-identity and wire-stats conservation gates apply across the process
 //   boundary.
 //
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "bench/net_common.h"
 #include "gnn/model.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -223,8 +222,7 @@ int main(int argc, char** argv) {
   std::vector<int> conn_counts{1};
   if (connections != 1) conn_counts.push_back(connections);
   for (serve::ShedPolicy policy :
-       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest,
-        serve::ShedPolicy::Block}) {
+       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest}) {
     for (int conns : conn_counts) {
       serve::RouterConfig router_config;
       router_config.shed_policy = policy;
@@ -243,9 +241,7 @@ int main(int argc, char** argv) {
         }
       }
 
-      net::NetServerConfig net_config;
-      net_config.shed_policy = policy;
-      net::NetServer server(router, net_config);
+      net::NetServer server(router, {});
       support::Status status = server.start();
       if (!status.ok()) {
         ++failures;

@@ -1,17 +1,17 @@
 // Load generator for serve::InferenceServer: closed-loop latency/throughput
 // at 1 and 4 client threads, an open-loop burst showing micro-batch
 // amortization, a cache hit-vs-miss section, a flash-crowd section gating
-// in-flight coalescing, a Zipf-distributed fingerprint workload, a
-// predictive-warming before/after comparison, the buffer arena's high-water
-// mark + idle-trim behaviour, and (--overload) an admission-control section
-// that slams a bounded queue with a burst and gates the shedding contract.
+// in-flight coalescing, a Zipf-distributed fingerprint workload, the buffer
+// arena's high-water mark + idle-trim behaviour, and (--overload) an
+// admission-control section that slams a bounded queue with a burst and
+// gates the shedding contract.
 // Results also land in a machine-readable JSON file (--json, uploaded as a
 // CI artifact) with qps, p99 and hit-rate per section.
 //
 // Like microbench_kernels, contract violations are a nonzero exit so the CI
 // smoke runs (--quick, --quick --overload) are real gates:
 //   - every served label must equal the pinned model's serial predict
-//     (determinism under batching/caching/coalescing/warming/shedding),
+//     (determinism under batching/caching/coalescing/shedding),
 //   - a warm single-client pass must pull zero bytes from malloc through
 //     the pool,
 //   - a warm cache hit must be at least 10x faster than a miss,
@@ -19,8 +19,6 @@
 //     one model forward (everyone else coalesces or hits),
 //   - coalescing conservation: cache hits + misses + coalesced == queries,
 //     on the flash-crowd and Zipf sections,
-//   - predictive warming must beat the no-warming baseline's hit+coalesced
-//     rate on the same sibling-group sweep,
 //   - the idle grace period must trigger an arena trim,
 //   - under --overload: the bounded queue actually sheds (Overloaded within
 //     the bound, conservation of answered+shed+rejected), the admitted
@@ -197,7 +195,6 @@ int main(int argc, char** argv) {
   double zipf_qps = 0, zipf_p99 = 0, zipf_hit_rate = 0;
   std::uint64_t zipf_coalesced = 0;
   std::uint64_t flash_forwards = 0, flash_coalesced = 0, flash_hits = 0;
-  double warm_baseline_rate = 0, warm_warmed_rate = 0;
   std::printf("=== serve_throughput (hidden=%d, layers=%d, threads=%d, "
               "max_batch=%d, wait=%dus, cache=%zu) ===\n",
               cfg.hidden_dim, cfg.num_layers, threads,
@@ -486,72 +483,6 @@ int main(int argc, char** argv) {
       ++failures;
       std::printf("FAILED: Zipf closed-loop p99 (%.0f us) blew past 1s\n",
                   p.p99);
-    }
-  }
-
-  // --- Predictive warming: before/after -------------------------------------
-  {
-    // Sibling groups of 4 consecutive unique fingerprints — the shape of
-    // "regions of one function" — swept cold in group order. The baseline
-    // server misses on every member; the warming server misses on the
-    // first member only and prefetches the rest, so its hit+coalesced rate
-    // must beat the baseline's on the identical sweep.
-    auto sweep = [&](serve::InferenceServer& server) {
-      for (std::size_t i = 0; i < unique.size(); ++i) {
-        const std::size_t g = unique[i];
-        const serve::Response r = server.predict(*graphs[g]);
-        if (!r.ok() || r.label != expected[g]) ++failures;
-      }
-    };
-    auto warmth = [](const serve::ServerStats& stats) {
-      return stats.queries == 0
-                 ? 0.0
-                 : static_cast<double>(stats.cache.hits + stats.coalesced) /
-                       static_cast<double>(stats.queries);
-    };
-    serve::InferenceServer baseline(model, server_config);
-    sweep(baseline);
-    const serve::ServerStats base_stats = baseline.stats();
-    warm_baseline_rate = warmth(base_stats);
-
-    serve::InferenceServer warmed(model, server_config);
-    std::vector<const graph::ProgramGraph*> group;
-    for (std::size_t i = 0; i < unique.size(); ++i) {
-      group.push_back(graphs[unique[i]]);
-      if (group.size() == 4 || i + 1 == unique.size()) {
-        warmed.register_warm_group(group);
-        group.clear();
-      }
-    }
-    sweep(warmed);
-    const serve::ServerStats warm_stats = warmed.stats();
-    warm_warmed_rate = warmth(warm_stats);
-    std::printf("\n=== Predictive warming (groups of 4, cold sweep of %zu "
-                "fingerprints) ===\n"
-                "baseline: hits %llu, coalesced %llu (warmth %.3f) | warmed: "
-                "hits %llu, coalesced %llu, prefetches %llu (warmth %.3f)\n",
-                unique.size(),
-                static_cast<unsigned long long>(base_stats.cache.hits),
-                static_cast<unsigned long long>(base_stats.coalesced),
-                warm_baseline_rate,
-                static_cast<unsigned long long>(warm_stats.cache.hits),
-                static_cast<unsigned long long>(warm_stats.coalesced),
-                static_cast<unsigned long long>(warm_stats.warm_enqueued),
-                warm_warmed_rate);
-    if (server_config.cache_capacity != 0 &&
-        warm_warmed_rate <= warm_baseline_rate) {
-      ++failures;
-      std::printf("FAILED: warming (%.3f) did not beat the no-warming "
-                  "baseline (%.3f) on the sibling-group sweep\n",
-                  warm_warmed_rate, warm_baseline_rate);
-    }
-    for (const serve::ServerStats& stats : {base_stats, warm_stats}) {
-      if (stats.cache.hits + stats.cache.misses + stats.coalesced !=
-          stats.queries) {
-        ++failures;
-        std::printf("FAILED: coalescing conservation on the warming "
-                    "sweep\n");
-      }
     }
   }
 
@@ -972,8 +903,6 @@ int main(int argc, char** argv) {
           "%.4f, \"coalesced\": %llu},\n"
           "  \"flash_crowd\": {\"clients\": 8, \"forwards\": %llu, "
           "\"coalesced\": %llu, \"cache_hits\": %llu},\n"
-          "  \"warming\": {\"baseline_warmth\": %.4f, \"warmed_warmth\": "
-          "%.4f},\n"
           "  \"hit_vs_miss\": {\"miss_p50_us\": %.2f, \"hit_p50_us\": "
           "%.2f},\n"
           "  \"faults\": {\"ran\": %s, \"p99_healthy_us\": %.1f, "
@@ -993,8 +922,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(zipf_coalesced),
           static_cast<unsigned long long>(flash_forwards),
           static_cast<unsigned long long>(flash_coalesced),
-          static_cast<unsigned long long>(flash_hits), warm_baseline_rate,
-          warm_warmed_rate, miss_p50, hit_p50, faults_ran ? "true" : "false",
+          static_cast<unsigned long long>(flash_hits), miss_p50, hit_p50,
+          faults_ran ? "true" : "false",
           fault_p99_healthy, fault_p99_degraded, fault_p99_recovered,
           fault_err_healthy, fault_err_degraded, fault_err_recovered,
           static_cast<unsigned long long>(fault_trips),
@@ -1013,8 +942,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nall serving contracts held (determinism, zero-alloc warm "
               "hits, 10x cache advantage, one-forward flash crowds, "
-              "coalescing conservation, warming beats baseline%s%s, idle "
-              "trim)\n",
+              "coalescing conservation%s%s, idle trim)\n",
               overload ? ", bounded-queue shedding" : "",
               faults_ran ? ", breaker containment" : "");
   return 0;

@@ -302,7 +302,7 @@ void NetServer::read_conn(std::uint32_t slot) {
 
 void NetServer::parse_frames(std::uint32_t slot) {
   Connection& conn = *conns_[slot];
-  while (conn.open && !conn.flow_blocked) {
+  while (conn.open) {
     std::size_t avail = conn.in.size() - conn.in_ofs;
     if (avail < kHeaderBytes) break;
     FrameHeader header;
@@ -319,10 +319,8 @@ void NetServer::parse_frames(std::uint32_t slot) {
     }
     std::size_t frame_bytes = kHeaderBytes + header.payload_bytes;
     if (avail < frame_bytes) break;  // wait for the rest of the frame
-    FrameAction action = handle_frame(
-        slot, header, conn.in.data() + conn.in_ofs + kHeaderBytes);
+    handle_frame(slot, header, conn.in.data() + conn.in_ofs + kHeaderBytes);
     if (!conn.open) return;
-    if (action == FrameAction::kDefer) break;  // flow control: not consumed
     conn.in_ofs += frame_bytes;
   }
   if (!conn.open) return;
@@ -336,22 +334,19 @@ void NetServer::parse_frames(std::uint32_t slot) {
   }
 }
 
-NetServer::FrameAction NetServer::handle_frame(std::uint32_t slot,
-                                               const FrameHeader& header,
-                                               const std::uint8_t* payload) {
+void NetServer::handle_frame(std::uint32_t slot, const FrameHeader& header,
+                             const std::uint8_t* payload) {
   {
     std::lock_guard<std::mutex> guard(mutex_);
     ++frames_in_;
   }
   switch (header.type) {
-    case FrameType::kRequest: {
-      FrameAction action = FrameAction::kHandled;
-      handle_request(slot, payload, header.payload_bytes, &action);
-      return action;
-    }
+    case FrameType::kRequest:
+      handle_request(slot, payload, header.payload_bytes);
+      return;
     case FrameType::kStatsRequest:
       handle_stats_request(slot);
-      return FrameAction::kHandled;
+      return;
     default:
       // kGraph/kResponse/kStatsReply are not things a client sends a server.
       {
@@ -359,23 +354,17 @@ NetServer::FrameAction NetServer::handle_frame(std::uint32_t slot,
         ++protocol_errors_;
       }
       close_conn(slot);
-      return FrameAction::kHandled;
+      return;
   }
 }
 
 void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
-                               std::size_t size, FrameAction* action) {
+                               std::size_t size) {
   Connection& conn = *conns_[slot];
 
   // TCP backpressure: a client not reading its answers fills the write
-  // buffer, and the configured shed policy decides who pays (header comment).
+  // buffer, and its new requests are shed unadmitted (header comment).
   if (outstanding_bytes(conn) > config_.max_write_buffer) {
-    if (config_.shed_policy == serve::ShedPolicy::Block) {
-      conn.flow_blocked = true;
-      update_epoll(slot);
-      *action = FrameAction::kDefer;
-      return;
-    }
     std::uint64_t tag = 0;
     peek_request_tag(payload, size, &tag);
     {
@@ -431,7 +420,6 @@ void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
     ++total_pending_;
   }
 
-  // May block under ShedPolicy::Block — pumping batches while it waits.
   auto submitted = router_.submit(request);
   if (!submitted.ok()) {
     {
@@ -555,13 +543,6 @@ void NetServer::flush_conn(std::uint32_t slot) {
   if (conn.want_write) {
     conn.want_write = false;
     update_epoll(slot);
-  }
-  if (conn.flow_blocked && !draining_.load(std::memory_order_relaxed) &&
-      outstanding_bytes(conn) < config_.max_write_buffer / 2) {
-    conn.flow_blocked = false;
-    update_epoll(slot);
-    parse_frames(slot);  // frames buffered while blocked
-    if (!conn.open) return;
   }
   maybe_close_drained(slot);
 }

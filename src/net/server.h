@@ -8,9 +8,9 @@
 // it through Future::then continuations that run on whatever pool thread
 // pumps the answering micro-batch. The loop and the continuations meet at a
 // per-connection outbox under one server mutex; an eventfd wakes the loop
-// when a continuation deposits a response. No thread is ever spawned, no
-// call ever blocks the loop except a ShedPolicy::Block admission (which
-// pumps batches while it waits, so even that makes progress).
+// when a continuation deposits a response. No thread is ever spawned, and
+// no call blocks the loop: admission either queues a query or answers
+// Overloaded at once.
 //
 // Request lifecycle: a complete kRequest frame is decoded into a pooled
 // InflightQuery (graph storage reused across requests, so a steady-state
@@ -24,22 +24,14 @@
 // (tests/net_test.cpp fuzzes it; tests/chaos_test.cpp disconnects
 // mid-frame and injects read/write/decode/accept faults).
 //
-// TCP backpressure maps onto the shed policies instead of unbounded
-// buffering: each connection's encoded-but-unsent bytes are capped by
-// `max_write_buffer`. Over the cap —
-//
-//   Reject / DropOldest  new requests on that connection are answered
-//                        Overloaded immediately (a 46-byte frame) without
-//                        being admitted; the admission queue behind the
-//                        Router still applies the configured policy among
-//                        admitted queries.
-//   Block                the server stops reading the connection (EPOLLIN
-//                        masked) until the buffer drains below half the cap
-//                        — genuine TCP flow control; the client's sends
-//                        eventually block in its kernel.
-//
-// A slow reader therefore costs bounded memory and sheds its own traffic;
-// it can never stall other connections or the loop.
+// TCP backpressure sheds instead of buffering without bound: each
+// connection's encoded-but-unsent bytes are capped by `max_write_buffer`.
+// Over the cap, new requests on that connection are answered Overloaded
+// immediately (a 46-byte frame, Source::Shed, counted in backpressure_shed)
+// without being admitted; the admission queue behind the Router still
+// applies its own shed policy among admitted queries. A slow reader
+// therefore costs bounded memory and sheds its own traffic; it can never
+// stall other connections or the loop.
 //
 // Graceful drain (SIGTERM in irgnn_served): request_drain() is
 // async-signal-safe (an atomic flag plus an eventfd write). The loop then
@@ -76,9 +68,12 @@ struct NetServerConfig {
   /// in rejected_connections) so the kernel backlog cannot wedge.
   std::size_t max_connections = 4096;
 
-  /// Per-connection cap on encoded-but-unsent response bytes; over it, TCP
-  /// backpressure maps onto shed_policy (see the header comment).
+  /// Per-connection cap on encoded-but-unsent response bytes; over it, new
+  /// requests on the connection are shed (see the header comment).
   std::size_t max_write_buffer = 1u << 20;
+  /// Unused: write-buffer backpressure always sheds, and admission follows
+  /// the Router's own RouterConfig::shed_policy. Kept only because
+  /// perfbench/ still assigns it; remove it together with that assignment.
   serve::ShedPolicy shed_policy = serve::ShedPolicy::Reject;
 
   /// Inclusive bound on node feature indices accepted off the wire; < 0
@@ -87,7 +82,7 @@ struct NetServerConfig {
   std::int32_t max_feature = -1;
 
   /// epoll_wait tick in milliseconds: the upper bound on how stale the loop
-  /// can be when woken only by time (drain checks, deferred flushes).
+  /// can be when woken only by time (drain checks).
   int poll_ms = 20;
 };
 
@@ -158,7 +153,7 @@ class NetServer {
     int fd = -1;
     bool open = false;
     bool want_write = false;    // EPOLLOUT armed
-    bool flow_blocked = false;  // EPOLLIN masked (Block backpressure)
+    bool flow_blocked = false;  // EPOLLIN masked (drain stops reading)
     FrameBytes in;              // unparsed inbound bytes
     std::size_t in_ofs = 0;     // parse cursor into `in`
     FrameBytes wbuf;            // spliced outbound bytes being written
@@ -172,18 +167,16 @@ class NetServer {
     bool in_use = false;
   };
 
-  enum class FrameAction { kHandled, kDefer };
-
   void run_loop();
   void begin_drain();  // loop thread; first reaction to drain_requested_
   void do_accept();
   void handle_io(std::uint32_t slot, std::uint32_t events);
   void read_conn(std::uint32_t slot);
   void parse_frames(std::uint32_t slot);
-  FrameAction handle_frame(std::uint32_t slot, const FrameHeader& header,
-                           const std::uint8_t* payload);
+  void handle_frame(std::uint32_t slot, const FrameHeader& header,
+                    const std::uint8_t* payload);
   void handle_request(std::uint32_t slot, const std::uint8_t* payload,
-                      std::size_t size, FrameAction* action);
+                      std::size_t size);
   void handle_stats_request(std::uint32_t slot);
   /// Deposits an error Response for `tag` into the connection's outbox.
   void respond_error(std::uint32_t slot, std::uint64_t tag,

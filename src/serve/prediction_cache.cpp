@@ -73,13 +73,6 @@ void PredictionCache::note_miss(std::uint64_t key) {
   ++shard.stats.misses;
 }
 
-bool PredictionCache::contains(std::uint64_t key) const {
-  if (per_shard_capacity_ == 0) return false;
-  const Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.index.find(key) != shard.index.end();
-}
-
 void PredictionCache::insert(std::uint64_t key, int label) {
   if (per_shard_capacity_ == 0) return;
   Shard& shard = shard_of(key);

@@ -64,11 +64,6 @@ class PredictionCache {
   /// lookup(count_miss = false).
   void note_miss(std::uint64_t key);
 
-  /// True if `key` is resident. Pure probe: counts neither a hit nor a miss
-  /// and does not touch recency — the warming scan uses it to skip siblings
-  /// that are already cached without polluting the hit-rate counters.
-  bool contains(std::uint64_t key) const;
-
   /// Inserts (or refreshes) key -> label, evicting the least recently used
   /// entry of the shard when it is full.
   void insert(std::uint64_t key, int label);
@@ -132,9 +127,6 @@ class PredictionCache {
   };
 
   Shard& shard_of(std::uint64_t key) {
-    return shards_[shard_index(key, num_shards_)];
-  }
-  const Shard& shard_of(std::uint64_t key) const {
     return shards_[shard_index(key, num_shards_)];
   }
 

@@ -63,17 +63,12 @@ enum class ShedPolicy : std::uint8_t {
   /// one, the incoming submit is rejected — shedding never promotes load
   /// the queue already chose to carry.
   DropOldest,
-  /// Block the submitting client until the queue has room (participating
-  /// in batch pumping while it waits, so a client-driven server cannot
-  /// deadlock itself). Queue depth stays bounded; submit latency does not.
-  Block,
 };
 
 inline const char* shed_policy_name(ShedPolicy policy) {
   switch (policy) {
     case ShedPolicy::Reject: return "Reject";
     case ShedPolicy::DropOldest: return "DropOldest";
-    case ShedPolicy::Block: return "Block";
   }
   return "unknown";
 }

@@ -46,7 +46,7 @@ std::uint64_t Router::publish(const std::string& name, ModelPtr model) {
 }
 
 bool Router::retire(const std::string& name) {
-  // Fault injection: a slow retire — widens the window in which prefetch
+  // Fault injection: a slow retire — widens the window in which in-flight
   // leaders and client queries race the drain (tests/router_test.cpp and
   // the chaos harness lean on this).
   IRGNN_FAILPOINT("router.retire", (void)0);
@@ -77,28 +77,7 @@ void Router::drain_and_fold(InferenceServer& server) {
   server.shutdown();
   const ServerStats last = server.stats();
   std::lock_guard<std::mutex> lock(mutex_);
-  retired_.queries += last.queries;
-  retired_.forwards += last.forwards;
-  retired_.batches += last.batches;
-  retired_.coalesced += last.coalesced;
-  retired_.warm_enqueued += last.warm_enqueued;
-  retired_.warm_completed += last.warm_completed;
-  retired_.warm_shed += last.warm_shed;
-  retired_.warm_suppressed += last.warm_suppressed;
-  retired_.shed += last.shed;
-  retired_.rejected += last.rejected;
-  retired_.deadline_exceeded += last.deadline_exceeded;
-  retired_.internal_errors += last.internal_errors;
-  retired_.invalid_arguments += last.invalid_arguments;
-  retired_.breaker_trips += last.breaker_trips;
-  retired_.breaker_probes += last.breaker_probes;
-  retired_.breaker_short_circuits += last.breaker_short_circuits;
-  retired_.source_cache += last.source_cache;
-  retired_.source_batch += last.source_batch;
-  retired_.source_coalesced += last.source_coalesced;
-  retired_.source_shed += last.source_shed;
-  retired_.cache.hits += last.cache.hits;
-  retired_.cache.misses += last.cache.misses;
+  fold(last, retired_);
 }
 
 std::shared_ptr<InferenceServer> Router::route(std::string_view model,
@@ -139,32 +118,6 @@ StatusOr<InferenceServer::Future> Router::submit(const Request& request) {
   std::shared_ptr<InferenceServer> server = route(request.model, &status);
   if (!server) return status;
   return server->submit(request);
-}
-
-Status Router::register_warm_group(
-    std::string_view model,
-    const std::vector<const graph::ProgramGraph*>& siblings) {
-  // Same name resolution as route(), minus the traffic counters:
-  // registration is configuration, and routed/model_not_found stay honest
-  // counts of query routing.
-  if (stopped_.load(std::memory_order_acquire))
-    return Status::ShuttingDown("router is shutting down");
-  const std::shared_ptr<const ServerMap> servers =
-      std::atomic_load(&servers_);
-  std::shared_ptr<InferenceServer> server;
-  if (model.empty()) {
-    if (servers->size() != 1)
-      return Status::ModelNotFound(
-          servers->empty() ? "no model published"
-                           : "group names no model and several are served");
-    server = servers->begin()->second;
-  } else {
-    auto it = servers->find(model);
-    if (it == servers->end()) return Status::ModelNotFound();
-    server = it->second;
-  }
-  server->register_warm_group(siblings);
-  return Status::Ok();
 }
 
 Response Router::predict(const Request& request) {
@@ -261,10 +214,6 @@ void Router::fold(const ServerStats& in, RouterStats& out) {
   out.cache_hits += in.cache.hits;
   out.cache_misses += in.cache.misses;
   out.coalesced += in.coalesced;
-  out.warm_enqueued += in.warm_enqueued;
-  out.warm_completed += in.warm_completed;
-  out.warm_shed += in.warm_shed;
-  out.warm_suppressed += in.warm_suppressed;
   out.shed += in.shed;
   out.rejected += in.rejected;
   out.deadline_exceeded += in.deadline_exceeded;
@@ -280,7 +229,17 @@ void Router::fold(const ServerStats& in, RouterStats& out) {
 }
 
 RouterStats Router::stats() const {
+  // Snapshot-then-fold: a retire() completing between the snapshot and the
+  // retired_ read can transiently count that server's traffic twice. Stats
+  // are monitoring data, not invariants — the totals are exact whenever no
+  // retire is mid-flight.
+  const std::shared_ptr<const ServerMap> servers =
+      std::atomic_load(&servers_);
   RouterStats out;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    out = retired_;  // totals only: retired_ holds no routing or models
+  }
   out.routed = routed_.load(std::memory_order_relaxed);
   out.model_not_found = model_not_found_.load(std::memory_order_relaxed);
   out.retry_requests = retry_requests_.load(std::memory_order_relaxed);
@@ -288,16 +247,6 @@ RouterStats Router::stats() const {
   out.retry_successes = retry_successes_.load(std::memory_order_relaxed);
   out.retry_budget_exhausted =
       retry_budget_exhausted_.load(std::memory_order_relaxed);
-  // Snapshot-then-fold: a retire() completing between the snapshot and the
-  // retired_ read can transiently count that server's traffic twice. Stats
-  // are monitoring data, not invariants — the totals are exact whenever no
-  // retire is mid-flight.
-  const std::shared_ptr<const ServerMap> servers =
-      std::atomic_load(&servers_);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fold(retired_, out);
-  }
   out.models.reserve(servers->size());
   for (const auto& [name, server] : *servers) {
     RouterModelStats entry;

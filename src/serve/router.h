@@ -12,10 +12,10 @@
 //
 // Admission control is enforced per model: RouterConfig::{max_queue,
 // shed_policy} configure every server the router creates, so overload on
-// one architecture's queue sheds (or rejects, or blocks) without touching
-// the others, and a burst returns Overloaded within the bound instead of
-// stretching every client's latency. Requests naming no model route to the
-// router's only model, or fail ModelNotFound when several are published
+// one architecture's queue sheds (or rejects) without touching the others,
+// and a burst returns Overloaded within the bound instead of stretching
+// every client's latency. Requests naming no model route to the router's
+// only model, or fail ModelNotFound when several are published
 // (ambiguous) or the name is unknown — routing failures are Status values,
 // never exceptions, like everything on the query path.
 //
@@ -107,10 +107,6 @@ struct RouterStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t coalesced = 0;
-  std::uint64_t warm_enqueued = 0;
-  std::uint64_t warm_completed = 0;
-  std::uint64_t warm_shed = 0;
-  std::uint64_t warm_suppressed = 0;
   std::uint64_t shed = 0;
   std::uint64_t rejected = 0;
   std::uint64_t deadline_exceeded = 0;
@@ -158,15 +154,6 @@ class Router {
   /// unknown name (or an empty name when several models are published),
   /// plus everything InferenceServer::submit can return.
   StatusOr<InferenceServer::Future> submit(const Request& request);
-
-  /// Registers a predictive-warming sibling group on `model`'s server (see
-  /// InferenceServer::register_warm_group). Same name resolution as
-  /// routing — an empty name targets the only model — but registration is
-  /// configuration, not traffic: it does not count toward routed /
-  /// model_not_found. Fails ModelNotFound / ShuttingDown like routing.
-  Status register_warm_group(
-      std::string_view model,
-      const std::vector<const graph::ProgramGraph*>& siblings);
 
   /// Synchronous routed query; routing and admission failures fold into
   /// the Response (Source::Shed) like InferenceServer::predict.
@@ -226,8 +213,9 @@ class Router {
   /// readers go through std::atomic_load. Never null.
   std::shared_ptr<const ServerMap> servers_ =
       std::make_shared<const ServerMap>();
-  /// Traffic of retired servers, folded in at retire() so totals survive.
-  ServerStats retired_;
+  /// Traffic of retired servers, folded in at retire() so totals survive
+  /// (the fold totals only; routing counters and models stay empty).
+  RouterStats retired_;
   std::atomic<std::uint64_t> routed_{0};
   std::atomic<std::uint64_t> model_not_found_{0};
   /// Retry budget across every policy'd predict: retries_ may not exceed

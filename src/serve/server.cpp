@@ -89,8 +89,8 @@ void InferenceServer::shutdown() {
     else
       cv_done_.wait(lock);
   }
-  // The drain resolved every leader (client or warming), and resolution
-  // erases in-flight entries — waiters never outlive their leader.
+  // The drain resolved every leader, and resolution erases in-flight
+  // entries — waiters never outlive their leader.
   assert(in_flight_.empty() && "shutdown drain left an in-flight leader");
   // Wait for a started loop task to unpark and exit so it can never touch
   // a destroyed server.
@@ -192,7 +192,6 @@ void InferenceServer::free_slot_locked(std::uint32_t slot) {
   s.next_waiter = -1;
   s.leading = false;
   s.inflight_key = 0;
-  s.warming = false;
   s.probe = false;
   s.callback.reset();
   free_slots_.push_back(slot);
@@ -219,38 +218,24 @@ void InferenceServer::resolve_one_locked(std::uint32_t slot,
           std::chrono::microseconds(config_.breaker_probe_interval_us);
     }
   }
-  // Centralized outcome accounting: client queries fill the source buckets
-  // (a partition of every resolved client query), warming prefetches fill
-  // the warm_* counters only — so warming can never inflate a client-facing
-  // hit-rate or shed gate.
-  if (s.warming) {
-    if (response.status.ok()) {
-      ++warm_completed_;
-    } else {
-      ++warm_shed_;
-      if (config_.warm_negative_ttl_us > 0)
-        warm_negative_[s.fp] =
-            Clock::now() +
-            std::chrono::microseconds(config_.warm_negative_ttl_us);
-    }
-  } else {
-    switch (response.status.code()) {
-      case support::StatusCode::kOk:
-        if (response.source == Source::Coalesced)
-          ++source_coalesced_;
-        else
-          ++source_batch_;
-        break;
-      case support::StatusCode::kOverloaded:
-        ++shed_;
-        break;
-      case support::StatusCode::kDeadlineExceeded:
-        ++deadline_exceeded_;
-        break;
-      default:  // kInternal: a failed forward. Nothing else resolves a slot.
-        ++internal_errors_;
-        break;
-    }
+  // Centralized outcome accounting: the source buckets are a partition of
+  // every resolved query.
+  switch (response.status.code()) {
+    case support::StatusCode::kOk:
+      if (response.source == Source::Coalesced)
+        ++source_coalesced_;
+      else
+        ++source_batch_;
+      break;
+    case support::StatusCode::kOverloaded:
+      ++shed_;
+      break;
+    case support::StatusCode::kDeadlineExceeded:
+      ++deadline_exceeded_;
+      break;
+    default:  // kInternal: a failed forward. Nothing else resolves a slot.
+      ++internal_errors_;
+      break;
   }
   s.response = response;
   s.state = SlotState::Done;
@@ -271,11 +256,9 @@ void InferenceServer::resolve_slot_locked(std::uint32_t slot,
   {
     QuerySlot& s = slots_[slot];
     if (s.leading) {
-      // Precise erase: a Block-policy admission that slept through this
-      // leader's lifetime may have registered a newer leader under the
-      // same key — never remove someone else's entry.
-      auto it = in_flight_.find(s.inflight_key);
-      if (it != in_flight_.end() && it->second == slot) in_flight_.erase(it);
+      // A leader registers only under a key with no live leader, in the
+      // same critical section that checked, so the entry is this slot's.
+      in_flight_.erase(s.inflight_key);
       s.leading = false;
     }
     waiter = s.next_waiter;
@@ -299,8 +282,7 @@ void InferenceServer::resolve_slot_locked(std::uint32_t slot,
   resolve_one_locked(slot, response, fired);
 }
 
-Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
-                                     const Request& request, std::uint64_t fp,
+Status InferenceServer::admit_locked(const Request& request, std::uint64_t fp,
                                      std::uint32_t* slot_out,
                                      std::uint64_t* gen_out,
                                      FiredList& fired) {
@@ -341,9 +323,6 @@ Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
         const std::uint32_t victim = queue_[victim_index];
         queue_.erase(queue_.begin() +
                      static_cast<std::ptrdiff_t>(victim_index));
-        // Warming prefetches enqueue at Priority::Low, so they are always
-        // the first victims here; resolve_slot_locked routes a shed
-        // prefetch into warm_shed (+ negative TTL) instead of shed.
         Response dropped;
         dropped.status = Status::Overloaded("shed for a newer request");
         dropped.source = Source::Shed;
@@ -351,19 +330,6 @@ Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
         resolve_slot_locked(victim, dropped, fired);
         cv_done_.notify_all();
         break;  // room made; fall through to enqueue
-      }
-      case ShedPolicy::Block: {
-        // Wait for space, pumping batches ourselves when nobody else is —
-        // the same caller-participates rule as wait(), so a client-driven
-        // server (background_loop=false) cannot deadlock on its own bound.
-        while (!stop_ && queue_.size() >= config_.max_queue) {
-          if (!pumping_ && !queue_.empty())
-            pump_one(lock, /*wait_window=*/false);
-          else
-            cv_done_.wait(lock);
-        }
-        if (stop_) return Status::ShuttingDown();
-        break;
       }
     }
   }
@@ -409,8 +375,8 @@ bool InferenceServer::try_coalesce_locked(const Request& request,
          "in-flight map points at a live leader until resolution erases it");
   w.next_waiter = l.next_waiter;
   l.next_waiter = static_cast<std::int32_t>(waiter);
-  // Priority inheritance: a leader carrying real waiters must not be shed
-  // as if it still had only its own (possibly Low / warming) priority.
+  // Priority inheritance: a leader carrying waiters must not be shed as if
+  // it still had only its own (possibly Low) priority.
   if (request.priority > l.priority) l.priority = request.priority;
   ++coalesced_;
   *slot_out = waiter;
@@ -426,7 +392,7 @@ StatusOr<InferenceServer::Future> InferenceServer::admit_or_coalesce(
   FiredList fired;
   Status admitted;
   {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     // Coalescing first — even during the shutdown drain: an in-flight
     // leader is guaranteed to resolve (the drain pumps the queue dry), so
     // attaching is as safe as the cache-hit-during-drain exception and
@@ -449,34 +415,24 @@ StatusOr<InferenceServer::Future> InferenceServer::admit_or_coalesce(
     if (config_.breaker_trip_threshold > 0 && breaker_open_ && !stop_) {
       if (!breaker_probe_in_flight_ && Clock::now() >= breaker_next_probe_) {
         as_probe = true;
-        // Claim the probe franchise before admit_locked, which may drop the
-        // lock (ShedPolicy::Block): a second miss sneaking in meanwhile
-        // must short-circuit, not launch a second probe.
-        breaker_probe_in_flight_ = true;
       } else {
         ++breaker_short_circuits_;
         admitted = Status::Unavailable();
       }
     }
+    if (admitted.ok()) admitted = admit_locked(request, fp, &slot, &gen, fired);
     if (admitted.ok()) {
-      admitted = admit_locked(lock, request, fp, &slot, &gen, fired);
+      QuerySlot& s = slots_[slot];
       if (as_probe) {
-        if (admitted.ok()) {
-          slots_[slot].probe = true;
-          ++breaker_probes_;
-        } else {
-          breaker_probe_in_flight_ = false;  // return the franchise
-        }
+        s.probe = true;
+        breaker_probe_in_flight_ = true;
+        ++breaker_probes_;
       }
-    }
-    if (admitted.ok()) {
       if (config_.coalesce) {
-        QuerySlot& s = slots_[slot];
         s.leading = true;
         s.inflight_key = key;
         in_flight_[key] = slot;
       }
-      maybe_warm_locked(fp, version, slots_[slot].admitted);
     }
   }
   // A shed victim's continuation runs on the thread that shed it, outside
@@ -484,83 +440,6 @@ StatusOr<InferenceServer::Future> InferenceServer::admit_or_coalesce(
   for (FiredCallback& f : fired) f.fn(f.response);
   if (!admitted.ok()) return admitted;
   return Future(this, slot, gen);
-}
-
-// --- Predictive warming -----------------------------------------------------
-
-void InferenceServer::register_warm_group(
-    const std::vector<const graph::ProgramGraph*>& siblings) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<WarmSibling> group;
-  group.reserve(siblings.size());
-  for (const graph::ProgramGraph* g : siblings) {
-    if (!g) continue;
-    group.push_back(WarmSibling{g, graph::fingerprint(*g)});
-  }
-  if (group.size() < 2) return;  // a singleton has nothing to prefetch
-  const std::uint32_t index = static_cast<std::uint32_t>(warm_groups_.size());
-  // Latest registration wins per fingerprint (see the header contract).
-  for (const WarmSibling& sib : group) warm_group_of_[sib.fp] = index;
-  warm_groups_.push_back(std::move(group));
-}
-
-void InferenceServer::maybe_warm_locked(std::uint64_t fp,
-                                        std::uint64_t version,
-                                        Clock::time_point now) {
-  if (warm_groups_.empty() || config_.max_warm_per_miss <= 0 || stop_) return;
-  // An open breaker suppresses warming outright: prefetches exist to spend
-  // idle forwards on likely-next queries, and a failing model has no useful
-  // forwards to spend.
-  if (breaker_open_) return;
-  auto group_it = warm_group_of_.find(fp);
-  if (group_it == warm_group_of_.end()) return;
-  const std::vector<WarmSibling>& group = warm_groups_[group_it->second];
-  int budget = config_.max_warm_per_miss;
-  bool enqueued_any = false;
-  for (const WarmSibling& sib : group) {
-    if (budget == 0) break;
-    if (sib.fp == fp) continue;  // the triggering miss is already admitted
-    const std::uint64_t key = hash_combine64(version, sib.fp);
-    // Skip siblings that already have an answer in flight or in the cache
-    // (contains() is a pure probe: no hit/miss accounting, no recency
-    // bump — warming must not pollute the client-facing hit rate).
-    if (in_flight_.find(key) != in_flight_.end()) continue;
-    if (cache_.contains(key)) continue;
-    auto neg = warm_negative_.find(sib.fp);
-    if (neg != warm_negative_.end()) {
-      if (now < neg->second) continue;  // shed recently: don't retry hot
-      warm_negative_.erase(neg);
-    }
-    // Never displace admitted traffic: a full queue suppresses the prefetch
-    // outright instead of invoking the shed policy against real queries.
-    if (config_.max_queue > 0 && queue_.size() >= config_.max_queue) {
-      ++warm_suppressed_;
-      continue;
-    }
-    const std::uint32_t slot = alloc_slot_locked();
-    QuerySlot& s = slots_[slot];
-    s.graph = sib.graph;
-    s.fp = sib.fp;
-    s.admitted = now;
-    s.deadline_us = 0;
-    s.priority = Priority::Low;  // first DropOldest victim, by construction
-    s.response = Response{};
-    s.state = SlotState::Queued;
-    s.abandoned = true;  // nobody holds a prefetch's future
-    s.warming = true;
-    // A prefetch is an in-flight leader: a real query racing the warm-up
-    // coalesces onto it (and promotes its priority) instead of forwarding
-    // twice.
-    s.leading = true;
-    s.inflight_key = key;
-    in_flight_[key] = slot;
-    queue_.push_back(slot);
-    peak_queue_ = std::max<std::uint64_t>(peak_queue_, queue_.size());
-    ++warm_enqueued_;
-    --budget;
-    enqueued_any = true;
-  }
-  if (enqueued_any) cv_queue_.notify_all();
 }
 
 StatusOr<InferenceServer::Future> InferenceServer::submit(
@@ -896,10 +775,6 @@ ServerStats InferenceServer::stats() const {
   out.model_swaps = model_swaps_;
   out.idle_trims = idle_trims_;
   out.coalesced = coalesced_;
-  out.warm_enqueued = warm_enqueued_;
-  out.warm_completed = warm_completed_;
-  out.warm_shed = warm_shed_;
-  out.warm_suppressed = warm_suppressed_;
   out.shed = shed_;
   out.rejected = rejected_;
   out.deadline_exceeded = deadline_exceeded_;
@@ -911,12 +786,11 @@ ServerStats InferenceServer::stats() const {
   out.breaker_short_circuits = breaker_short_circuits_;
   out.breaker_open = breaker_open_;
   out.cache = cache_.stats();
-  // Responses by source — a partition of every resolved client query. Cache
-  // hits already count per-shard; source_batch/source_coalesced come from
-  // the centralized resolution accounting (warming excluded there, so
-  // source_batch <= forwards); every shed-class outcome (dropped, rejected
-  // at submit, expired, failed forward — waiters of shed leaders included)
-  // reported Source::Shed.
+  // Responses by source — a partition of every resolved query. Cache hits
+  // already count per-shard; source_batch/source_coalesced come from the
+  // centralized resolution accounting; every shed-class outcome (dropped,
+  // rejected at submit, expired, failed forward — waiters of shed leaders
+  // included) reported Source::Shed.
   out.source_cache = out.cache.hits;
   out.source_batch = source_batch_;
   out.source_coalesced = source_coalesced_;

@@ -17,10 +17,10 @@
 //   forward (Internal) — is a Status or an error Response, never a throw.
 //
 //   Bounded admission. `max_queue` caps how many admitted queries may wait;
-//   a full queue sheds per `shed_policy` (Reject the newcomer, DropOldest
-//   victim of the lowest priority class, or Block the submitter while it
-//   helps pump). Overload therefore answers Overloaded within the bound
-//   instead of stretching every queue latency without limit.
+//   a full queue sheds per `shed_policy` (Reject the newcomer, or DropOldest
+//   victim of the lowest priority class). Overload therefore answers
+//   Overloaded within the bound instead of stretching every queue latency
+//   without limit. Callers that must never be shed use max_queue = 0.
 //
 //   Determinism. Per-graph predictions never depend on which other graphs
 //   share a forward (pinned by the PR 3 inference engine tests), and every
@@ -33,8 +33,8 @@
 //
 //   No dedicated threads, no deadlocks. The serving loop is a task on the
 //   shared support::ThreadPool; in addition, any client waiting on a future
-//   (or blocked by ShedPolicy::Block) pumps batches itself when no pumper
-//   is active, so the server also works with `background_loop = false` —
+//   pumps batches itself when no pumper is active, so the server also
+//   works with `background_loop = false` —
 //   required when servers are created inside pool-parallel work like the
 //   per-fold loop of core::run_experiment, where a parked loop task could
 //   otherwise starve.
@@ -46,34 +46,18 @@
 // ModelRegistry name); in-flight batches finish on the snapshot they took,
 // and version-keyed caching means a retired model can never answer.
 //
-// The cache also anticipates instead of only reacting, in two layers:
-//
-//   In-flight coalescing. A cache miss consults an in-flight map keyed by
-//   (version, fingerprint): if an identical query is already queued or mid-
-//   forward, the newcomer attaches as a waiter on that leader's slot
-//   instead of enqueuing — N duplicate queries cost one batch slot and one
-//   forward (a flash crowd on one cold hot region performs exactly one),
-//   and each waiter resolves with the leader's outcome, Source::Coalesced.
-//   Waiters survive an abandoned leader (resolution walks the waiter chain
-//   before recycling the slot), ride hot-swaps (they report the version
-//   that actually answered), and are drained by shutdown() like every
-//   admitted query. Coalescing changes WHEN a forward runs, never its
-//   bits; a waiter's label is bit-identical to a serial predict by the
-//   reported version. Accounting partitions exactly:
-//   cache hits + cache misses + coalesced == queries.
-//
-//   Predictive warming. Clients that know which fingerprints travel
-//   together — the regions of one function, the flag-variant neighborhood
-//   of one region — register them via register_warm_group(). A client miss
-//   on one member enqueues Priority::Low prefetches for the siblings that
-//   are neither cached nor in flight, through the ordinary admission queue:
-//   under pressure, warming is suppressed at enqueue (it never displaces
-//   admitted traffic) and is the first DropOldest victim (lowest priority;
-//   a shed prefetch is negative-TTL'd so shed-heavy keys are not retried
-//   hot). A prefetch is an in-flight leader, so a real query racing the
-//   warm-up coalesces onto it — and promotes its priority — rather than
-//   duplicating the forward. Warming traffic is invisible to the client-
-//   facing counters (its own warm_* stats), so hit-rate gates stay honest.
+// In-flight coalescing: a cache miss consults an in-flight map keyed by
+// (version, fingerprint): if an identical query is already queued or mid-
+// forward, the newcomer attaches as a waiter on that leader's slot instead
+// of enqueuing — N duplicate queries cost one batch slot and one forward (a
+// flash crowd on one cold hot region performs exactly one), and each waiter
+// resolves with the leader's outcome, Source::Coalesced. Waiters survive an
+// abandoned leader (resolution walks the waiter chain before recycling the
+// slot), ride hot-swaps (they report the version that actually answered),
+// and are drained by shutdown() like every admitted query. Coalescing
+// changes WHEN a forward runs, never its bits; a waiter's label is
+// bit-identical to a serial predict by the reported version. Accounting
+// partitions exactly: cache hits + cache misses + coalesced == queries.
 //
 // Failure containment: a per-server circuit breaker (ServerConfig::
 // breaker_trip_threshold) trips after N consecutive failed forwards into a
@@ -134,13 +118,6 @@ struct ServerConfig {
   /// measurement baseline.
   bool coalesce = true;
 
-  /// Predictive-warming knobs; active only for fingerprints registered via
-  /// register_warm_group(). At most `max_warm_per_miss` prefetches enqueue
-  /// per triggering miss; a shed prefetch's fingerprint is not re-warmed
-  /// for `warm_negative_ttl_us` microseconds (<= 0 disables the back-off).
-  int max_warm_per_miss = 16;
-  std::int64_t warm_negative_ttl_us = 100000;
-
   /// Circuit breaker: after this many CONSECUTIVE failed forwards (each
   /// micro-batch is one forward) the server trips to degraded mode — cache
   /// hits and coalesced waiters still answer, but a new miss gets
@@ -148,9 +125,7 @@ struct ServerConfig {
   /// model that is failing. 0 (default) disables the breaker. While open,
   /// every `breaker_probe_interval_us` one real miss is admitted as a
   /// half-open probe; if its forward succeeds the breaker closes and full
-  /// service resumes, if it fails the probe timer re-arms. Predictive
-  /// warming is suppressed while open (prefetches would burn forwards on
-  /// the failing model for nobody).
+  /// service resumes, if it fails the probe timer re-arms.
   int breaker_trip_threshold = 0;
   std::int64_t breaker_probe_interval_us = 10000;
 
@@ -167,9 +142,8 @@ struct ServerConfig {
 };
 
 struct ServerStats {
-  std::uint64_t queries = 0;     // client submissions (warming excluded)
-  std::uint64_t forwards = 0;    // slots answered by the model, warming
-                                 // included (honest model work)
+  std::uint64_t queries = 0;     // client submissions
+  std::uint64_t forwards = 0;    // slots answered by the model
   std::uint64_t batches = 0;     // micro-batches launched
   std::uint64_t max_batch = 0;   // largest micro-batch observed
   std::uint64_t model_swaps = 0; // version changes observed between batches
@@ -182,15 +156,7 @@ struct ServerStats {
   // below counts the subset whose leader resolved Ok.
   std::uint64_t coalesced = 0;
 
-  // Predictive warming (self-issued prefetches; never counted in queries,
-  // sources or the client shed counters).
-  std::uint64_t warm_enqueued = 0;    // prefetches admitted to the queue
-  std::uint64_t warm_completed = 0;   // prefetches the model answered
-  std::uint64_t warm_shed = 0;        // prefetches shed/expired/failed
-                                      // (fingerprint negative-TTL'd)
-  std::uint64_t warm_suppressed = 0;  // skipped: queue full at enqueue time
-
-  // Admission control (client queries only).
+  // Admission control.
   std::uint64_t shed = 0;        // admitted, then dropped by DropOldest
   std::uint64_t rejected = 0;    // refused at submit (queue full, Reject)
   std::uint64_t deadline_exceeded = 0;  // expired while queued
@@ -309,17 +275,6 @@ class InferenceServer {
   void predict_batch(const std::vector<const graph::ProgramGraph*>& graphs,
                      std::vector<Response>& out);
 
-  /// Registers a sibling group for predictive warming: graphs expected to
-  /// be queried together (the regions of one function, the flag-variant
-  /// neighborhood of one region). A client miss on any member enqueues
-  /// Priority::Low prefetches for the members that are neither cached nor
-  /// in flight (see the header comment). Every graph must outlive the
-  /// server; a fingerprint registered twice triggers its latest group.
-  /// Groups are consulted per miss under the server lock, so register
-  /// before serving traffic, not per query.
-  void register_warm_group(
-      const std::vector<const graph::ProgramGraph*>& siblings);
-
   /// Hot-swaps the served model (publishes to the server's slot). Returns
   /// the new version. In-flight batches finish on their snapshot.
   std::uint64_t publish(ModelPtr model);
@@ -361,9 +316,6 @@ class InferenceServer {
     std::int32_t next_waiter = -1;
     bool leading = false;
     std::uint64_t inflight_key = 0;
-    // Self-issued prefetch: always abandoned (nobody holds its future) and
-    // accounted in the warm_* counters instead of the client buckets.
-    bool warming = false;
     // Half-open breaker probe: the one real miss allowed through an open
     // breaker; its resolution closes the breaker (Ok) or re-arms the probe
     // timer (anything else).
@@ -384,8 +336,8 @@ class InferenceServer {
   /// Resolves `slot` with `response` under the lock: erases its in-flight
   /// entry if it leads one, resolves its coalesced waiters with the derived
   /// outcome (Source::Coalesced when Ok), then marks the slot Done, counts
-  /// the outcome (client source buckets, or the warm_* counters for a
-  /// prefetch), frees it if abandoned, and detaches its continuation into
+  /// the outcome in the source buckets, frees it if abandoned, and detaches
+  /// its continuation into
   /// `fired` if it has one. The caller must notify cv_done_ and run `fired`
   /// after unlocking.
   void resolve_slot_locked(std::uint32_t slot, const Response& response,
@@ -405,27 +357,18 @@ class InferenceServer {
                            std::uint64_t* gen);
 
   /// Admission control. Pre: lock held, not a cache hit. Applies stop_ and
-  /// the bounded-queue policy (shedding a victim into `fired`, or blocking
-  /// while helping pump), then enqueues. On Ok, *slot/*gen identify the
-  /// admitted query.
-  Status admit_locked(std::unique_lock<std::mutex>& lock,
-                      const Request& request, std::uint64_t fp,
+  /// the bounded-queue policy (shedding a victim into `fired`), then
+  /// enqueues. On Ok, *slot/*gen identify the admitted query.
+  Status admit_locked(const Request& request, std::uint64_t fp,
                       std::uint32_t* slot, std::uint64_t* gen,
                       FiredList& fired);
 
   /// The shared miss path of submit()/predict(): coalesce onto an in-
-  /// flight leader, or count the miss, admit, register the new leader in
-  /// the in-flight map and trigger predictive warming for its siblings.
-  /// Runs any shed-victim continuations before returning.
+  /// flight leader, or count the miss, admit and register the new leader
+  /// in the in-flight map. Runs any shed-victim continuations before
+  /// returning.
   StatusOr<Future> admit_or_coalesce(const Request& request, std::uint64_t fp,
                                      std::uint64_t version);
-
-  /// Enqueues Priority::Low prefetches for `fp`'s registered siblings that
-  /// are neither cached, in flight, nor negative-TTL'd — skipping (never
-  /// shedding for) a full queue. Pre: lock held, a client miss on `fp` was
-  /// just admitted.
-  void maybe_warm_locked(std::uint64_t fp, std::uint64_t version,
-                         Clock::time_point now);
 
   /// Runs one micro-batch: optionally waits the batch window for the queue
   /// to fill, pops up to max_batch queries in admission order (expired
@@ -479,24 +422,13 @@ class InferenceServer {
       return static_cast<std::size_t>(k);
     }
   };
-  template <typename V>
-  using KeyMap = std::unordered_map<
-      std::uint64_t, V, IdentityHash, std::equal_to<std::uint64_t>,
-      support::PoolAllocator<std::pair<const std::uint64_t, V>>>;
 
   /// (version, fingerprint) -> leader slot of every queued or mid-forward
   /// query; entries erased at resolution (guarded by mutex_).
-  KeyMap<std::uint32_t> in_flight_;
-
-  // Predictive warming (guarded by mutex_): fingerprint -> sibling group,
-  // and the negative-TTL set of recently shed prefetch fingerprints.
-  struct WarmSibling {
-    const graph::ProgramGraph* graph = nullptr;
-    std::uint64_t fp = 0;
-  };
-  std::vector<std::vector<WarmSibling>> warm_groups_;
-  KeyMap<std::uint32_t> warm_group_of_;
-  KeyMap<Clock::time_point> warm_negative_;
+  std::unordered_map<
+      std::uint64_t, std::uint32_t, IdentityHash, std::equal_to<std::uint64_t>,
+      support::PoolAllocator<std::pair<const std::uint64_t, std::uint32_t>>>
+      in_flight_;
 
   // Pump scratch: written only by the active pumper (pumping_ excludes
   // concurrent pumps), reused across batches so warm pumps stay off malloc.
@@ -531,10 +463,6 @@ class InferenceServer {
   std::uint64_t coalesced_ = 0;
   std::uint64_t source_batch_ = 0;
   std::uint64_t source_coalesced_ = 0;
-  std::uint64_t warm_enqueued_ = 0;
-  std::uint64_t warm_completed_ = 0;
-  std::uint64_t warm_shed_ = 0;
-  std::uint64_t warm_suppressed_ = 0;
   std::uint64_t shed_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t deadline_exceeded_ = 0;

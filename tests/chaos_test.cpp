@@ -347,8 +347,7 @@ bool operator==(const serve::ServerStats& a, const serve::ServerStats& b) {
   auto key = [](const serve::ServerStats& s) {
     return std::make_tuple(
         s.queries, s.forwards, s.batches, s.max_batch, s.model_swaps,
-        s.coalesced, s.warm_enqueued, s.warm_completed, s.warm_shed,
-        s.warm_suppressed, s.shed, s.rejected, s.deadline_exceeded,
+        s.coalesced, s.shed, s.rejected, s.deadline_exceeded,
         s.internal_errors, s.peak_queue, s.invalid_arguments,
         s.breaker_trips, s.breaker_probes, s.breaker_short_circuits,
         s.breaker_open, s.source_cache, s.source_batch, s.source_coalesced,

@@ -462,6 +462,56 @@ gnn::ModelConfig small_config() {
   return cfg;
 }
 
+/// A raw loopback connection to `port` (-1 on failure), for tests that
+/// need byte-level control NetClient does not give: garbage, truncated
+/// frames, many frames in one write.
+int raw_connect(std::uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool raw_send(int fd, const std::uint8_t* data, std::size_t size) {
+  std::size_t sent = 0;
+  while (sent < size) {
+    ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool raw_recv(int fd, std::uint8_t* dst, std::size_t size) {
+  std::size_t got = 0;
+  while (got < size) {
+    ssize_t n = ::recv(fd, dst + got, size - got, 0);
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Reads one kResponse frame off a raw connection.
+bool raw_recv_response(int fd, DecodedResponse* out) {
+  std::uint8_t head[net::kHeaderBytes];
+  FrameHeader header;
+  if (!raw_recv(fd, head, sizeof(head)) ||
+      !net::decode_header(head, sizeof(head), &header).ok() ||
+      header.type != FrameType::kResponse)
+    return false;
+  std::vector<std::uint8_t> payload(header.payload_bytes);
+  return raw_recv(fd, payload.data(), payload.size()) &&
+         net::decode_response(payload.data(), payload.size(), out).ok();
+}
+
 TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheRouter) {
   serve::Router router;
   router.publish("static", std::make_shared<const gnn::StaticModel>(
@@ -555,14 +605,8 @@ TEST(NetServerTest, GarbageBytesCloseOnlyTheGuiltyConnection) {
   ASSERT_TRUE(innocent.predict(serve::Request(g)).ok());
 
   {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = raw_connect(server.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
     const char garbage[] = "GET / HTTP/1.1\r\n\r\n";
     ASSERT_GT(::send(fd, garbage, sizeof(garbage), MSG_NOSIGNAL), 0);
     // The server must close us (bad magic = unrecoverable stream) — read
@@ -603,41 +647,11 @@ TEST(NetServerTest, WellFramedMalformedPayloadAnswersInvalidArgument) {
   std::memcpy(cut.data() + 4, &shorter, sizeof(shorter));
   cut.resize(net::kHeaderBytes + shorter);
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = raw_connect(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  std::size_t sent = 0;
-  while (sent < cut.size()) {
-    ssize_t n = ::send(fd, cut.data() + sent, cut.size() - sent, MSG_NOSIGNAL);
-    ASSERT_GT(n, 0);
-    sent += static_cast<std::size_t>(n);
-  }
-  // Read the full reply frame back.
-  std::uint8_t reply[net::kHeaderBytes];
-  std::size_t got = 0;
-  while (got < net::kHeaderBytes) {
-    ssize_t n = ::recv(fd, reply + got, net::kHeaderBytes - got, 0);
-    ASSERT_GT(n, 0);
-    got += static_cast<std::size_t>(n);
-  }
-  FrameHeader header;
-  ASSERT_TRUE(net::decode_header(reply, net::kHeaderBytes, &header).ok());
-  ASSERT_EQ(header.type, FrameType::kResponse);
-  std::vector<std::uint8_t> payload(header.payload_bytes);
-  got = 0;
-  while (got < payload.size()) {
-    ssize_t n = ::recv(fd, payload.data() + got, payload.size() - got, 0);
-    ASSERT_GT(n, 0);
-    got += static_cast<std::size_t>(n);
-  }
+  ASSERT_TRUE(raw_send(fd, cut.data(), cut.size()));
   DecodedResponse decoded;
-  ASSERT_TRUE(
-      net::decode_response(payload.data(), payload.size(), &decoded).ok());
+  ASSERT_TRUE(raw_recv_response(fd, &decoded));
   EXPECT_EQ(decoded.tag, 77u);
   EXPECT_EQ(decoded.response.status.code(), StatusCode::kInvalidArgument);
   ::close(fd);
@@ -646,6 +660,81 @@ TEST(NetServerTest, WellFramedMalformedPayloadAnswersInvalidArgument) {
   const net::NetServerStats stats = server.stats();
   EXPECT_GE(stats.decode_errors, 1u);
   EXPECT_EQ(stats.open_slots, 0u);
+  router.shutdown();
+}
+
+TEST(NetServerTest, FullWriteBufferShedsNewRequestsOnThatConnectionOnly) {
+  auto model = std::make_shared<const gnn::StaticModel>(small_config());
+  serve::Router router;
+  router.publish("static", model);
+  net::NetServerConfig config;
+  config.max_write_buffer = 128;  // fewer than three 46-byte answers
+  net::NetServer server(router, config);
+  ASSERT_TRUE(server.start().ok());
+
+  // Tiny graphs, so the whole burst fits in one segment and one read. Each
+  // is cached first: an admitted request then answers inline, and its
+  // response sits in the outbox until the loop flushes after the read.
+  std::vector<graph::ProgramGraph> graphs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    graphs.push_back(big_graph(4, seed));
+  std::vector<const graph::ProgramGraph*> ptrs;
+  for (const auto& g : graphs) ptrs.push_back(&g);
+  const std::vector<int> expected = model->predict(ptrs);
+  for (const auto& g : graphs) ASSERT_TRUE(router.predict(g).ok());
+
+  // Back-to-back requests in ONE write, replies left unread.
+  constexpr int kBurst = 64;
+  FrameBytes burst;
+  for (int q = 0; q < kBurst; ++q)
+    net::encode_request_into(static_cast<std::uint64_t>(q),
+                             serve::Request(graphs[q % graphs.size()]), burst);
+  const int fd = raw_connect(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(raw_send(fd, burst.data(), burst.size()));
+
+  // Another connection is answered while the first one's replies pile up.
+  net::NetClient other;
+  ASSERT_TRUE(other.connect("127.0.0.1", server.port()).ok());
+  auto answer = other.predict(serve::Request(graphs[1]));
+  ASSERT_TRUE(answer.ok());
+  ASSERT_TRUE(answer->ok());
+  EXPECT_EQ(answer->label, expected[1]);
+
+  // Every request gets exactly one reply: an answer or a shed.
+  std::vector<bool> seen(kBurst, false);
+  std::uint64_t ok_answers = 0, shed_answers = 0;
+  for (int q = 0; q < kBurst; ++q) {
+    DecodedResponse decoded;
+    ASSERT_TRUE(raw_recv_response(fd, &decoded));
+    ASSERT_LT(decoded.tag, static_cast<std::uint64_t>(kBurst));
+    EXPECT_FALSE(seen[decoded.tag]) << "tag answered twice";
+    seen[decoded.tag] = true;
+    const serve::Response& r = decoded.response;
+    if (r.ok()) {
+      ++ok_answers;
+      EXPECT_EQ(r.label, expected[decoded.tag % graphs.size()]);
+    } else {
+      ++shed_answers;
+      EXPECT_EQ(r.status.code(), StatusCode::kOverloaded);
+      EXPECT_EQ(r.source, serve::Source::Shed);
+    }
+  }
+  EXPECT_GE(ok_answers, 1u);
+  EXPECT_GE(shed_answers, 1u);
+
+  net::WireStats stats{};
+  ASSERT_TRUE(other.get_stats(&stats).ok());
+  EXPECT_EQ(stats.net_backpressure_shed, shed_answers);
+  // Shed requests were never admitted: only the answered ones, plus the
+  // other connection's query, count as net requests.
+  EXPECT_EQ(stats.net_requests, ok_answers + 1);
+
+  ::close(fd);
+  other.close();
+  server.shutdown();
+  EXPECT_EQ(server.stats().backpressure_shed, shed_answers);
+  EXPECT_EQ(server.stats().open_slots, 0u);
   router.shutdown();
 }
 

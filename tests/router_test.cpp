@@ -3,7 +3,7 @@
 // StaticModel::predict of the named model, for every shed policy, queue
 // bound, model mix and client count — plus routing failures
 // (ModelNotFound), shedding under overload never corrupting admitted
-// results, hot-swap during shedding, the Block policy's queue bound, and
+// results, hot-swap during shedding, retire with leaders in flight, and
 // queue-time deadlines. Runs under TSan in CI with the other serve
 // binaries.
 #include <gtest/gtest.h>
@@ -134,8 +134,7 @@ TEST(RouterTest, AdmittedResponsesBitIdenticalForEveryPolicyAndBound) {
   const auto& graphs = test_graphs();
 
   for (serve::ShedPolicy policy :
-       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest,
-        serve::ShedPolicy::Block}) {
+       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest}) {
     for (std::size_t max_queue : {std::size_t{0}, std::size_t{2},
                                   std::size_t{16}}) {
       serve::RouterConfig config;
@@ -179,8 +178,8 @@ TEST(RouterTest, AdmittedResponsesBitIdenticalForEveryPolicyAndBound) {
           << " max_queue=" << max_queue;
       EXPECT_EQ(ok_answers.load() + shed_answers.load(),
                 kClients * kQueriesPerClient);
-      if (max_queue == 0 || policy == serve::ShedPolicy::Block) {
-        // Unbounded or blocking admission: nothing may be shed.
+      if (max_queue == 0) {
+        // Unbounded admission: nothing may be shed.
         EXPECT_EQ(shed_answers.load(), 0)
             << "policy=" << serve::shed_policy_name(policy)
             << " max_queue=" << max_queue;
@@ -373,45 +372,7 @@ TEST(RouterTest, DropOldestShedsLowestPriorityAndRejectsOutrankedNewcomers) {
   EXPECT_EQ(stats.source_shed, 2u);
 }
 
-TEST(RouterTest, BlockPolicyBoundsQueueAndAnswersEverything) {
-  auto model = make_model(0x4A);
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-
-  serve::RouterConfig config;
-  config.max_queue = 3;
-  config.shed_policy = serve::ShedPolicy::Block;
-  config.server.max_batch = 2;
-  config.server.cache_capacity = 0;
-  config.server.background_loop = false;  // the submitter must self-pump
-  serve::Router router(config);
-  router.publish("m", model);
-
-  // A single thread async-submitting past the bound: Block admits
-  // everything (pumping while it waits for space) and nothing is shed.
-  std::vector<std::pair<std::size_t, serve::InferenceServer::Future>> futures;
-  for (int q = 0; q < 40; ++q) {
-    const std::size_t g = static_cast<std::size_t>(q) % graphs.size();
-    serve::StatusOr<serve::InferenceServer::Future> submitted =
-        router.submit(serve::Request(graphs[g], "m"));
-    ASSERT_TRUE(submitted.ok()) << submitted.status().code_name();
-    futures.emplace_back(g, std::move(submitted).value());
-  }
-  for (auto& [g, future] : futures) {
-    const serve::Response r = future.get();
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.label, expected[g]);
-  }
-  const serve::RouterStats stats = router.stats();
-  EXPECT_EQ(stats.shed + stats.rejected, 0u);
-  EXPECT_LE(stats.models[0].stats.peak_queue, config.max_queue);
-  // A few suite regions share a fingerprint, so a submit whose twin is
-  // still queued coalesces instead of forwarding (the cache is off);
-  // either way every query is answered by exactly one of the two.
-  EXPECT_EQ(stats.forwards + stats.coalesced, 40u);
-}
-
-TEST(RouterTest, CoalescingAndWarmingFoldIntoRouterStats) {
+TEST(RouterTest, CoalescingFoldsIntoRouterStatsAndSurvivesRetire) {
   auto model = make_model(0x7A);
   const std::vector<int> expected = serial_predict(*model);
   const auto& graphs = test_graphs();
@@ -423,15 +384,6 @@ TEST(RouterTest, CoalescingAndWarmingFoldIntoRouterStats) {
   serve::Router router(config);
   router.publish("m", model);
 
-  // Warm-group registration resolves names like routing does, but is
-  // configuration: it must not count as routed traffic.
-  EXPECT_EQ(router
-                .register_warm_group("haswell", {&graphs[0], &graphs[1]})
-                .code(),
-            serve::StatusCode::kModelNotFound);
-  ASSERT_TRUE(router.register_warm_group("m", {&graphs[0], &graphs[1]}).ok());
-  EXPECT_EQ(router.stats().routed, 0u);
-
   // Duplicate in-flight submits through the router coalesce on the routed
   // server: one forward answers both.
   auto leader = router.submit(serve::Request(graphs[2], "m"));
@@ -442,33 +394,36 @@ TEST(RouterTest, CoalescingAndWarmingFoldIntoRouterStats) {
   EXPECT_EQ(rw.source, serve::Source::Coalesced);
   EXPECT_EQ(leader.value().get().label, expected[2]);
 
-  // A miss on a group member prefetches its sibling; the sibling then hits
-  // without ever forwarding on the client's behalf.
-  EXPECT_EQ(router.predict(serve::Request(graphs[0], "m")).label,
-            expected[0]);
-  const serve::Response warmed =
-      router.predict(serve::Request(graphs[1], "m"));
-  EXPECT_EQ(warmed.label, expected[1]);
-  EXPECT_EQ(warmed.source, serve::Source::Cache);
+  // The forward filled the cache: a repeat hits.
+  const serve::Response hit = router.predict(serve::Request(graphs[2], "m"));
+  EXPECT_EQ(hit.label, expected[2]);
+  EXPECT_EQ(hit.source, serve::Source::Cache);
 
   const serve::RouterStats live = router.stats();
-  EXPECT_EQ(live.queries, 4u);
+  EXPECT_EQ(live.queries, 3u);
+  EXPECT_EQ(live.forwards, 1u);
   EXPECT_EQ(live.coalesced, 1u);
   EXPECT_EQ(live.source_coalesced, 1u);
-  EXPECT_EQ(live.warm_enqueued, 1u);
-  EXPECT_EQ(live.warm_completed, 1u);
   EXPECT_EQ(live.cache_hits, 1u);
+  EXPECT_EQ(live.cache_misses, 1u);
 
-  // Retiring the model folds its coalescing/warming traffic into the
-  // retained totals — router stats survive the server they came from.
+  // Retiring the model folds its traffic into the retained totals — router
+  // stats survive the server they came from, counter for counter.
   ASSERT_TRUE(router.retire("m"));
   const serve::RouterStats folded = router.stats();
   EXPECT_TRUE(folded.models.empty());
-  EXPECT_EQ(folded.coalesced, 1u);
-  EXPECT_EQ(folded.source_coalesced, 1u);
-  EXPECT_EQ(folded.warm_enqueued, 1u);
-  EXPECT_EQ(folded.warm_completed, 1u);
-  EXPECT_EQ(folded.queries, 4u);
+  EXPECT_EQ(folded.queries, live.queries);
+  EXPECT_EQ(folded.forwards, live.forwards);
+  EXPECT_EQ(folded.batches, live.batches);
+  EXPECT_EQ(folded.coalesced, live.coalesced);
+  EXPECT_EQ(folded.cache_hits, live.cache_hits);
+  EXPECT_EQ(folded.cache_misses, live.cache_misses);
+  EXPECT_EQ(folded.source_cache, live.source_cache);
+  EXPECT_EQ(folded.source_batch, live.source_batch);
+  EXPECT_EQ(folded.source_coalesced, live.source_coalesced);
+  EXPECT_EQ(folded.source_shed, live.source_shed);
+  // Routing counters are the router's own, not folded from servers.
+  EXPECT_EQ(folded.routed, live.routed);
 }
 
 TEST(RouterTest, QueueTimeDeadlineExpiresToDeadlineExceeded) {
@@ -506,11 +461,12 @@ TEST(RouterTest, QueueTimeDeadlineExpiresToDeadlineExceeded) {
   EXPECT_EQ(stats.forwards, 1u);
 }
 
-TEST(RouterTest, RetireDuringWarmingNeverResurrectsTheOldModel) {
-  // Predictive warming keeps self-issued prefetch leaders in flight; a
-  // retire() racing those leaders must drain them with the dying server —
-  // and a fresh publish under the SAME name must answer with the new
-  // model's bits and version, never a warmed-up leftover of the old one.
+TEST(RouterTest, RetireWithLeadersInFlightNeverResurrectsTheOldModel) {
+  // Concurrent client misses keep leaders (and their coalesced waiters)
+  // queued on the background loop; a retire() racing them must drain them
+  // with the dying server — answered with the old model's bits — and a
+  // fresh publish under the SAME name must answer with the new model's
+  // bits and version, never a leftover of the old one.
   auto old_model = make_model(0x01D);
   auto new_model = make_model(0x2E11);
   const std::vector<int> expected_old = serial_predict(*old_model);
@@ -520,24 +476,49 @@ TEST(RouterTest, RetireDuringWarmingNeverResurrectsTheOldModel) {
 
   for (int round = 0; round < 8; ++round) {
     serve::RouterConfig config;
-    config.server.max_wait_us = 0;
+    config.max_queue = 0;
+    // A long batch window holds the burst in flight until retire drains it.
+    config.server.max_wait_us = 20000;
     config.server.cache_capacity = 64;
     serve::Router router(config);
-    router.publish("m", old_model);
-    // Every graph warms every other: one miss fans out eleven prefetches.
-    std::vector<const graph::ProgramGraph*> siblings;
-    for (const auto& g : graphs) siblings.push_back(&g);
-    ASSERT_TRUE(router.register_warm_group("m", siblings).ok());
+    const std::uint64_t v_old = router.publish("m", old_model);
 
-    std::thread client([&] {
-      // Touch a few graphs: each miss triggers a storm of warm leaders on
-      // the background loop, in flight while the main thread retires.
-      for (int q = 0; q < 4; ++q)
-        (void)router.predict(
-            serve::Request(graphs[static_cast<std::size_t>(q) * 3]));
-    });
-    router.retire("m");  // races the client AND its warming storm
-    client.join();
+    constexpr int kClients = 2;
+    std::atomic<int> submitted{0};
+    std::atomic<int> answered{0};
+    std::atomic<int> wrong{0};
+    std::atomic<int> clients_ready{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&] {
+        // Every client misses on every graph: the first to submit leads,
+        // the other coalesces onto it. Continuations, not futures, because
+        // retire() destroys the server a future would point into.
+        for (std::size_t g = 0; g < graphs.size(); ++g) {
+          auto f = router.submit(serve::Request(graphs[g], "m"));
+          if (!f.ok()) continue;
+          submitted.fetch_add(1);
+          const int want = expected_old[g];
+          f.value().then([&answered, &wrong, want,
+                          v_old](const serve::Response& r) {
+            if (!r.ok() || r.label != want || r.model_version != v_old)
+              wrong.fetch_add(1);
+            answered.fetch_add(1);
+          });
+        }
+        clients_ready.fetch_add(1);
+        // Keep racing the retire with synchronous misses and hits.
+        for (std::size_t g = 0; g < graphs.size(); ++g) {
+          const serve::Response r = router.predict(serve::Request(graphs[g]));
+          if (r.ok() && r.label != expected_old[g]) wrong.fetch_add(1);
+        }
+      });
+    }
+    while (clients_ready.load() < kClients) std::this_thread::yield();
+    ASSERT_TRUE(router.retire("m"));  // leaders still inside the window
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(answered.load(), submitted.load()) << "round " << round;
+    EXPECT_EQ(wrong.load(), 0) << "round " << round;
 
     const std::uint64_t v = router.publish("m", new_model);
     for (std::size_t g = 0; g < graphs.size(); ++g) {

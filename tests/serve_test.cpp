@@ -664,153 +664,6 @@ TEST(InferenceServerTest, CoalescedWaiterPromotesItsLeaderPriority) {
   EXPECT_EQ(stats.rejected, 1u);
 }
 
-// --- Predictive warming -----------------------------------------------------
-
-TEST(InferenceServerTest, MissOnGroupMemberPrefetchesItsSiblings) {
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x27));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-  serve::ServerConfig config;
-  config.background_loop = false;
-  config.cache_capacity = 64;
-  serve::InferenceServer server(model, config);
-  server.register_warm_group(
-      {&graphs[0], &graphs[1], &graphs[2], &graphs[3]});
-
-  // One client miss on a group member: the sibling prefetches join the
-  // same micro-batch, so one predict warms the whole group.
-  EXPECT_EQ(server.predict(graphs[0]).label, expected[0]);
-  {
-    const serve::ServerStats stats = server.stats();
-    EXPECT_EQ(stats.queries, 1u);  // warming is not client traffic
-    EXPECT_EQ(stats.warm_enqueued, 3u);
-    EXPECT_EQ(stats.warm_completed, 3u);
-    EXPECT_EQ(stats.warm_shed, 0u);
-    EXPECT_EQ(stats.forwards, 4u);       // honest model work
-    EXPECT_EQ(stats.source_batch, 1u);   // client partition excludes warming
-    EXPECT_EQ(stats.cache.misses, 1u);
-  }
-  // The siblings now hit without ever having been queried.
-  for (int g : {1, 2, 3}) {
-    const serve::Response r = server.predict(graphs[static_cast<size_t>(g)]);
-    EXPECT_EQ(r.label, expected[static_cast<std::size_t>(g)]);
-    EXPECT_EQ(r.source, serve::Source::Cache);
-  }
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.queries, 4u);
-  EXPECT_EQ(stats.cache.hits, 3u);
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.coalesced,
-            stats.queries);
-  // A warmed group does not re-warm: everything is cached or in flight.
-  EXPECT_EQ(stats.warm_enqueued, 3u);
-}
-
-TEST(InferenceServerTest, WarmingIsFirstDropOldestVictimAndBacksOff) {
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x28));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-  serve::ServerConfig config;
-  config.background_loop = false;
-  config.cache_capacity = 64;
-  config.max_queue = 3;
-  config.shed_policy = serve::ShedPolicy::DropOldest;
-  serve::InferenceServer server(model, config);
-  server.register_warm_group(
-      {&graphs[0], &graphs[1], &graphs[2], &graphs[3]});
-
-  // submit(g0) admits the leader (queue 1/3) and warms g1, g2 (3/3); the
-  // prefetch for g3 finds the queue full and is suppressed, never shed.
-  auto f0 = server.submit(serve::Request(graphs[0]));
-  ASSERT_TRUE(f0.ok());
-  {
-    const serve::ServerStats stats = server.stats();
-    EXPECT_EQ(stats.warm_enqueued, 2u);
-    EXPECT_EQ(stats.warm_suppressed, 1u);
-  }
-  // Two real queries into the full queue: each displaces the oldest Low
-  // prefetch — warming is the first victim, client traffic is never shed.
-  auto f4 = server.submit(serve::Request(graphs[4]));
-  auto f5 = server.submit(serve::Request(graphs[5]));
-  ASSERT_TRUE(f4.ok() && f5.ok());
-  {
-    const serve::ServerStats stats = server.stats();
-    EXPECT_EQ(stats.warm_shed, 2u);
-    EXPECT_EQ(stats.shed, 0u);
-    EXPECT_EQ(stats.rejected, 0u);
-  }
-  EXPECT_EQ(f0.value().get().label, expected[0]);
-  EXPECT_EQ(f4.value().get().label, expected[4]);
-  EXPECT_EQ(f5.value().get().label, expected[5]);
-
-  // g3 misses and would warm its siblings, but g0 is cached and the shed
-  // prefetches (g1, g2) are inside their negative TTL: nothing enqueues —
-  // shed-heavy keys are not retried hot.
-  EXPECT_EQ(server.predict(graphs[3]).label, expected[3]);
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.warm_enqueued, 2u);
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.coalesced,
-            stats.queries);
-}
-
-TEST(InferenceServerTest, NegativeTtlZeroRetriesShedPrefetchesImmediately) {
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x29));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-  serve::ServerConfig config;
-  config.background_loop = false;
-  config.cache_capacity = 64;
-  config.max_queue = 3;
-  config.shed_policy = serve::ShedPolicy::DropOldest;
-  config.warm_negative_ttl_us = 0;  // back-off disabled
-  serve::InferenceServer server(model, config);
-  server.register_warm_group(
-      {&graphs[0], &graphs[1], &graphs[2], &graphs[3]});
-
-  auto f0 = server.submit(serve::Request(graphs[0]));  // warms g1, g2
-  auto f4 = server.submit(serve::Request(graphs[4]));  // sheds warm g1
-  auto f5 = server.submit(serve::Request(graphs[5]));  // sheds warm g2
-  ASSERT_TRUE(f0.ok() && f4.ok() && f5.ok());
-  EXPECT_EQ(f0.value().get().label, expected[0]);
-  EXPECT_EQ(f4.value().get().label, expected[4]);
-  EXPECT_EQ(f5.value().get().label, expected[5]);
-  EXPECT_EQ(server.stats().warm_shed, 2u);
-
-  // With no TTL the next group miss re-warms the shed siblings right away.
-  EXPECT_EQ(server.predict(graphs[3]).label, expected[3]);
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.warm_enqueued, 4u);  // g1, g2 warmed again
-  EXPECT_EQ(stats.warm_completed, 2u);
-}
-
-TEST(InferenceServerTest, ClientQueryCoalescesOntoItsOwnPrefetch) {
-  // A real query racing the warm-up of its fingerprint must attach to the
-  // prefetch (one forward), not duplicate it.
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x2A));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-  serve::ServerConfig config;
-  config.background_loop = false;
-  config.cache_capacity = 64;
-  serve::InferenceServer server(model, config);
-  server.register_warm_group({&graphs[6], &graphs[7]});
-
-  auto f6 = server.submit(serve::Request(graphs[6]));  // warms g7
-  ASSERT_TRUE(f6.ok());
-  auto f7 = server.submit(serve::Request(graphs[7]));  // coalesces onto it
-  ASSERT_TRUE(f7.ok());
-  const serve::Response r7 = f7.value().get();
-  EXPECT_EQ(r7.label, expected[7]);
-  EXPECT_EQ(r7.source, serve::Source::Coalesced);
-  EXPECT_EQ(f6.value().get().label, expected[6]);
-
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.warm_enqueued, 1u);
-  EXPECT_EQ(stats.coalesced, 1u);
-  EXPECT_EQ(stats.forwards, 2u);  // g6's leader + the shared g7 prefetch
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.coalesced,
-            stats.queries);
-}
-
 // --- Future move semantics --------------------------------------------------
 
 TEST(InferenceServerFutureTest, MoveFullyDisarmsTheSource) {

@@ -1,7 +1,7 @@
 // irgnn_served: the out-of-process serving daemon.
 //
 // Builds a deterministic StaticModel from the shared model flags (see
-// bench/net_common.h — clients rebuild the identical model from the same
+// bench/bench_common.h — clients rebuild the identical model from the same
 // flags instead of receiving weights), publishes it as "static" behind a
 // serve::Router, and serves the net/codec wire protocol over TCP through
 // net::NetServer until SIGTERM/SIGINT, then drains gracefully: stop
@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "bench/bench_common.h"
-#include "bench/net_common.h"
 #include "gnn/model.h"
 #include "net/server.h"
 #include "serve/router.h"
@@ -46,14 +45,13 @@ int main(int argc, char** argv) {
       .add("max-queue", "256",
            "admission bound per model (0: unbounded)")
       .add("shed", "Reject",
-           "admission shed policy: Reject | DropOldest | Block (also maps "
-           "TCP write-buffer backpressure)")
+           "admission shed policy: Reject | DropOldest")
       .add("max-batch", "64", "micro-batch flush size")
       .add("wait-us", "200", "micro-batch window in microseconds")
       .add("cache", "4096", "prediction cache entries (0 disables)")
       .add("write-buffer", "1048576",
-           "per-connection cap on unsent response bytes before the shed "
-           "policy applies");
+           "per-connection cap on unsent response bytes; over it, new "
+           "requests on that connection answer Overloaded");
   bench::add_runtime_flags(parser, /*default_threads=*/"0");
   bench::add_net_flags(parser, /*default_port=*/"9157",
                        /*default_connections=*/"4096");
@@ -63,9 +61,9 @@ int main(int argc, char** argv) {
   serve::ShedPolicy policy;
   if (!bench::parse_shed_policy(parser.get_string("shed"), &policy)) {
     std::fprintf(stderr,
-                 "irgnn_served: --shed must be Reject, DropOldest or Block "
-                 "(got \"%s\")\n",
-                 parser.get_string("shed").c_str());
+                 "error: flag '--shed' expects Reject or DropOldest, got "
+                 "'%s'\n%s",
+                 parser.get_string("shed").c_str(), parser.usage().c_str());
     return 1;
   }
 
@@ -92,7 +90,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(parser.get_int("connections"));
   net_config.max_write_buffer =
       static_cast<std::size_t>(parser.get_int("write-buffer"));
-  net_config.shed_policy = policy;
   net::NetServer server(router, net_config);
 
   support::Status status = server.start();
