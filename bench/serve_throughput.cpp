@@ -401,8 +401,7 @@ int main(int argc, char** argv) {
                   "forwards (want exactly 1)\n",
                   static_cast<unsigned long long>(stats.forwards));
     }
-    if (stats.cache.hits + stats.cache.misses + stats.coalesced !=
-        stats.queries) {
+    if (!stats.conserved()) {
       ++failures;
       std::printf("FAILED: coalescing conservation (hits %llu + misses %llu "
                   "+ coalesced %llu != queries %llu)\n",
@@ -468,8 +467,7 @@ int main(int argc, char** argv) {
                 unique.size(), kZipfClients, zipf_queries, zipf_qps, p.p50,
                 p.p99, zipf_hit_rate,
                 static_cast<unsigned long long>(stats.coalesced));
-    if (stats.cache.hits + stats.cache.misses + stats.coalesced !=
-        stats.queries) {
+    if (!stats.conserved()) {
       ++failures;
       std::printf("FAILED: coalescing conservation on the Zipf workload "
                   "(hits %llu + misses %llu + coalesced %llu != queries "
@@ -495,7 +493,11 @@ int main(int argc, char** argv) {
     for (serve::ShedPolicy policy :
          {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest}) {
       serve::ServerConfig oc = server_config;
-      oc.cache_capacity = 0;  // every admitted query costs a forward
+      // Every admitted query costs a forward: no cache, and no coalescing
+      // (duplicate draws would attach to in-flight leaders and never fill
+      // the queue).
+      oc.cache_capacity = 0;
+      oc.coalesce = false;
       oc.max_queue = max_queue;
       oc.shed_policy = policy;
       serve::InferenceServer server(model, oc);
@@ -712,8 +714,7 @@ int main(int argc, char** argv) {
                   "cleared (%d errors, breaker %s)\n",
                   fault_err_recovered, after.breaker_open ? "OPEN" : "closed");
     }
-    if (after.cache.hits + after.cache.misses + after.coalesced !=
-        after.queries) {
+    if (!after.conserved()) {
       ++failures;
       std::printf("FAILED: coalescing conservation broke under the fault "
                   "window\n");
@@ -778,7 +779,7 @@ int main(int argc, char** argv) {
           }
         for (const serve::RouterModelStats& m : mirror.stats().models) {
           const serve::ServerStats& s = m.stats;
-          if (s.cache.hits + s.cache.misses + s.coalesced != s.queries) {
+          if (!s.conserved()) {
             ++failures;
             std::printf("FAILED: conservation broke for shadow model %s\n",
                         m.model.c_str());

@@ -152,20 +152,21 @@ int main(int argc, char** argv) {
   std::printf("%zu distinct structural fingerprints across %zu sequences\n",
               fingerprints.size(), sequences.size());
   if (predict) {
-    serve::RouterStats stats = router.stats();
+    const serve::RouterStats stats = router.stats();
+    const serve::ServerStats& total = stats.total;
     std::printf("serve [model '%s' v%llu]: %llu routed queries -> %llu "
                 "forwards in %llu micro-batches, %llu cache hits (%.0f%% of "
                 "variant queries answered without a forward), %llu shed\n",
                 machine.name.c_str(),
                 static_cast<unsigned long long>(router.version(machine.name)),
                 static_cast<unsigned long long>(stats.routed),
-                static_cast<unsigned long long>(stats.forwards),
-                static_cast<unsigned long long>(stats.batches),
-                static_cast<unsigned long long>(stats.cache_hits),
-                stats.queries ? 100.0 * static_cast<double>(stats.cache_hits) /
-                                    static_cast<double>(stats.queries)
+                static_cast<unsigned long long>(total.forwards),
+                static_cast<unsigned long long>(total.batches),
+                static_cast<unsigned long long>(total.cache.hits),
+                total.queries ? 100.0 * static_cast<double>(total.cache.hits) /
+                                    static_cast<double>(total.queries)
                               : 0.0,
-                static_cast<unsigned long long>(stats.source_shed));
+                static_cast<unsigned long long>(total.source_shed));
   }
   if (parser.get_bool("dump-ir") && last)
     std::printf("\n%s\n", ir::print_module(*last).c_str());

@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
   const std::size_t oracle_config = static_cast<std::size_t>(
       labels[static_cast<std::size_t>(oracle[row])]);
 
-  serve::RouterStats stats = router.stats();
+  const serve::RouterStats stats = router.stats();
   std::printf("\nserved prediction (model '%s' v%llu, %llu routed + %llu "
               "misrouted -> %llu forwards, %llu cache hits; first answer "
               "from %s in %lld us queue + %lld us compute, repeat from "
@@ -169,8 +169,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(first.model_version),
               static_cast<unsigned long long>(stats.routed),
               static_cast<unsigned long long>(stats.model_not_found),
-              static_cast<unsigned long long>(stats.forwards),
-              static_cast<unsigned long long>(stats.cache_hits),
+              static_cast<unsigned long long>(stats.total.forwards),
+              static_cast<unsigned long long>(stats.total.cache.hits),
               serve::source_name(first.source),
               static_cast<long long>(first.queue_us),
               static_cast<long long>(first.compute_us),

@@ -95,12 +95,12 @@ int main() {
   auto labels = sim::reduce_labels(table, 13);
   auto oracle = sim::best_labels(table, labels);
 
-  core::Dataset dataset = core::build_dataset({/*num_sequences=*/2, 7});
+  const auto dataset = core::build_dataset_shared({/*num_sequences=*/2, 7});
   std::vector<const graph::ProgramGraph*> train;
   std::vector<int> train_labels;
-  for (std::size_t r = 0; r < dataset.num_regions(); ++r)
-    for (std::size_t s = 0; s < dataset.num_sequences(); ++s) {
-      train.push_back(&dataset.graph(r, s));
+  for (std::size_t r = 0; r < dataset->num_regions(); ++r)
+    for (std::size_t s = 0; s < dataset->num_sequences(); ++s) {
+      train.push_back(&dataset->graph(r, s));
       train_labels.push_back(oracle[r]);
     }
   gnn::ModelConfig cfg;

@@ -103,10 +103,6 @@ std::shared_ptr<const Dataset> build_dataset_shared(
   return built;
 }
 
-Dataset build_dataset(const DatasetOptions& options) {
-  return *build_dataset_shared(options);
-}
-
 support::Status load_corpus_dataset(const std::string& path, Dataset* out) {
   corpus::CacheLimits limits;
   limits.max_feature = static_cast<std::int32_t>(graph::vocabulary_size()) - 1;

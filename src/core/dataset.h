@@ -37,14 +37,10 @@ struct DatasetOptions {
 };
 
 /// Builds the dataset for the whole benchmark suite. Compilation of the
-/// variants is parallelized across regions. Returns a copy of the pooled
-/// dataset (see build_dataset_shared) — callers that only read should
-/// prefer the shared form and skip the copy.
-Dataset build_dataset(const DatasetOptions& options = {});
-
-/// Pooled dataset construction: repeated calls with identical options in
-/// one process share one immutable Dataset instead of re-running the
-/// compile/extract/build pipeline and re-allocating graphs[r][s]. The memo
+/// variants is parallelized across regions. Pooled: repeated calls with
+/// identical options in one process share one immutable Dataset instead of
+/// re-running the compile/extract/build pipeline and re-allocating
+/// graphs[r][s]. The memo
 /// is keyed on every DatasetOptions field (num_threads included, so
 /// determinism tests that compare thread counts still exercise separate
 /// builds) and keeps the most recently used handful of datasets alive.

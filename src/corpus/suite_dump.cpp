@@ -80,9 +80,9 @@ support::Status dump_suite(const std::string& dir,
     return support::Status::Ok();
   }
 
-  // Mirror core::build_dataset exactly: same sequence sampling, same
-  // clone → PassManager → extract_region per variant. The dumped module is
-  // the one build_dataset feeds build_graph, so the two paths must agree.
+  // Mirror core::build_dataset_shared exactly: same sequence sampling,
+  // same clone → PassManager → extract_region per variant. The dumped
+  // module is the one it feeds build_graph, so the two paths must agree.
   const std::vector<passes::FlagSequence> sequences =
       passes::sample_flag_sequences(options.num_sequences, options.seed);
   passes::register_builtin_passes();

@@ -11,9 +11,9 @@
 //
 //   num_sequences == N > 0: one file per (region, sequence) holding the
 //   *extracted* post-pass region module — exactly the module
-//   core::build_dataset builds graphs[r][s] from (clone → PassManager →
-//   extract_region). Ingesting such a dump therefore reproduces
-//   build_dataset({N, seed}) bit-for-bit, which CI gates.
+//   core::build_dataset_shared builds graphs[r][s] from (clone →
+//   PassManager → extract_region). Ingesting such a dump therefore
+//   reproduces build_dataset_shared({N, seed}) bit-for-bit, which CI gates.
 //
 // Filenames are deterministic ("r012_s03_<slug>.ir"), so a dump is
 // byte-stable and its ingest order equals suite order.

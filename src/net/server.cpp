@@ -150,7 +150,7 @@ void NetServer::run_loop() {
     splice_and_flush();
     if (draining) {
       std::lock_guard<std::mutex> guard(mutex_);
-      if (open_slots_ == 0) break;
+      if (counters_.open_slots == 0) break;
     }
   }
 
@@ -202,7 +202,7 @@ void NetServer::do_accept() {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
       std::lock_guard<std::mutex> guard(mutex_);
-      ++accept_failures_;
+      ++counters_.accept_failures;
       return;
     }
     bool injected = false;
@@ -210,13 +210,13 @@ void NetServer::do_accept() {
     if (injected) {
       ::close(fd);
       std::lock_guard<std::mutex> guard(mutex_);
-      ++accept_failures_;
+      ++counters_.accept_failures;
       continue;
     }
     {
       std::lock_guard<std::mutex> guard(mutex_);
-      if (open_slots_ >= config_.max_connections) {
-        ++rejected_connections_;
+      if (counters_.open_slots >= config_.max_connections) {
+        ++counters_.rejected_connections;
         ::close(fd);
         continue;
       }
@@ -242,13 +242,13 @@ void NetServer::do_accept() {
       conn.fd = -1;
       std::lock_guard<std::mutex> guard(mutex_);
       conn.open = false;
-      ++accept_failures_;
+      ++counters_.accept_failures;
       free_slot_locked(slot);
       continue;
     }
     std::lock_guard<std::mutex> guard(mutex_);
     conn.open = true;
-    ++accepted_;
+    ++counters_.accepted;
   }
 }
 
@@ -274,7 +274,7 @@ void NetServer::read_conn(std::uint32_t slot) {
     if (fault) {
       {
         std::lock_guard<std::mutex> guard(mutex_);
-        ++read_faults_;
+        ++counters_.read_faults;
       }
       close_conn(slot);
       return;
@@ -289,7 +289,7 @@ void NetServer::read_conn(std::uint32_t slot) {
       if (errno == EINTR) continue;
       {
         std::lock_guard<std::mutex> guard(mutex_);
-        ++read_faults_;
+        ++counters_.read_faults;
       }
       close_conn(slot);
       return;
@@ -312,7 +312,7 @@ void NetServer::parse_frames(std::uint32_t slot) {
       // Framing is lost; the stream cannot be resynchronized.
       {
         std::lock_guard<std::mutex> guard(mutex_);
-        ++protocol_errors_;
+        ++counters_.protocol_errors;
       }
       close_conn(slot);
       return;
@@ -338,7 +338,7 @@ void NetServer::handle_frame(std::uint32_t slot, const FrameHeader& header,
                              const std::uint8_t* payload) {
   {
     std::lock_guard<std::mutex> guard(mutex_);
-    ++frames_in_;
+    ++counters_.frames_in;
   }
   switch (header.type) {
     case FrameType::kRequest:
@@ -351,7 +351,7 @@ void NetServer::handle_frame(std::uint32_t slot, const FrameHeader& header,
       // kGraph/kResponse/kStatsReply are not things a client sends a server.
       {
         std::lock_guard<std::mutex> guard(mutex_);
-        ++protocol_errors_;
+        ++counters_.protocol_errors;
       }
       close_conn(slot);
       return;
@@ -369,7 +369,7 @@ void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
     peek_request_tag(payload, size, &tag);
     {
       std::lock_guard<std::mutex> guard(mutex_);
-      ++backpressure_shed_;
+      ++counters_.backpressure_shed;
     }
     respond_error(slot, tag,
                   Status::Overloaded("connection write buffer full"),
@@ -389,7 +389,7 @@ void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
     bool have_tag = peek_request_tag(payload, size, &tag);
     {
       std::lock_guard<std::mutex> guard(mutex_);
-      ++decode_errors_;
+      ++counters_.decode_errors;
       release_query_locked(query);
     }
     if (have_tag) {
@@ -398,7 +398,7 @@ void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
       respond_error(slot, tag, status, serve::Source::Shed);
     } else {
       std::lock_guard<std::mutex> guard(mutex_);
-      ++protocol_errors_;
+      ++counters_.protocol_errors;
       // close outside the lock
     }
     if (!have_tag) close_conn(slot);
@@ -414,7 +414,7 @@ void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
   std::uint64_t gen;
   {
     std::lock_guard<std::mutex> guard(mutex_);
-    ++requests_;
+    ++counters_.requests;
     gen = conn.gen;
     ++conn.pending;
     ++total_pending_;
@@ -445,7 +445,7 @@ void NetServer::handle_stats_request(std::uint32_t slot) {
   Connection& conn = *conns_[slot];
   if (!conn.in_use || !conn.open) return;
   encode_stats_reply_into(wire, conn.outbox);
-  ++frames_out_;
+  ++counters_.frames_out;
   if (!conn.dirty) {
     conn.dirty = true;
     dirty_.push_back(slot);
@@ -462,8 +462,8 @@ void NetServer::respond_error(std::uint32_t slot, std::uint64_t tag,
   Connection& conn = *conns_[slot];
   if (!conn.in_use || !conn.open) return;
   encode_response_into(tag, response, conn.outbox);
-  ++frames_out_;
-  ++responses_;
+  ++counters_.frames_out;
+  ++counters_.responses;
   if (!conn.dirty) {
     conn.dirty = true;
     dirty_.push_back(slot);
@@ -482,8 +482,8 @@ void NetServer::complete(std::uint32_t slot, std::uint64_t gen,
       --conn.pending;
       if (conn.open) {
         encode_response_into(tag, response, conn.outbox);
-        ++frames_out_;
-        ++responses_;
+        ++counters_.frames_out;
+        ++counters_.responses;
         if (!conn.dirty) {
           conn.dirty = true;
           dirty_.push_back(slot);
@@ -571,7 +571,7 @@ void NetServer::close_conn(std::uint32_t slot) {
   conn.wbuf_ofs = 0;
   std::lock_guard<std::mutex> guard(mutex_);
   conn.open = false;
-  ++closed_;
+  ++counters_.closed;
   if (conn.pending == 0)
     free_slot_locked(slot);
   // else: zombie until the last continuation resolves (complete() frees it).
@@ -605,7 +605,7 @@ std::uint32_t NetServer::alloc_slot() {
   conn.dirty = false;
   conn.pending = 0;
   conn.outbox.clear();
-  ++open_slots_;
+  ++counters_.open_slots;
   return slot;
 }
 
@@ -616,7 +616,7 @@ void NetServer::free_slot_locked(std::uint32_t slot) {
   conn.dirty = false;
   conn.outbox.clear();
   free_slots_.push_back(slot);
-  --open_slots_;
+  --counters_.open_slots;
 }
 
 NetServer::InflightQuery* NetServer::acquire_query() {
@@ -646,20 +646,7 @@ std::size_t NetServer::outstanding_bytes(const Connection& conn) {
 
 NetServerStats NetServer::stats() const {
   std::lock_guard<std::mutex> guard(mutex_);
-  NetServerStats s;
-  s.accepted = accepted_;
-  s.closed = closed_;
-  s.rejected_connections = rejected_connections_;
-  s.accept_failures = accept_failures_;
-  s.frames_in = frames_in_;
-  s.frames_out = frames_out_;
-  s.requests = requests_;
-  s.responses = responses_;
-  s.decode_errors = decode_errors_;
-  s.protocol_errors = protocol_errors_;
-  s.backpressure_shed = backpressure_shed_;
-  s.read_faults = read_faults_;
-  s.open_slots = open_slots_;
+  NetServerStats s = counters_;
   s.draining = draining_.load(std::memory_order_acquire);
   s.finished = finished_.load(std::memory_order_acquire);
   return s;
@@ -667,19 +654,20 @@ NetServerStats NetServer::stats() const {
 
 WireStats gather_wire_stats(const serve::Router& router,
                             const NetServerStats& net) {
-  serve::RouterStats rs = router.stats();
+  const serve::RouterStats rs = router.stats();
+  const serve::ServerStats& t = rs.total;
   WireStats w;
-  w.queries = rs.queries;
-  w.forwards = rs.forwards;
-  w.batches = rs.batches;
-  w.cache_hits = rs.cache_hits;
-  w.cache_misses = rs.cache_misses;
-  w.coalesced = rs.coalesced;
-  w.shed = rs.shed;
-  w.rejected = rs.rejected;
-  w.deadline_exceeded = rs.deadline_exceeded;
-  w.internal_errors = rs.internal_errors;
-  w.invalid_arguments = rs.invalid_arguments;
+  w.queries = t.queries;
+  w.forwards = t.forwards;
+  w.batches = t.batches;
+  w.cache_hits = t.cache.hits;
+  w.cache_misses = t.cache.misses;
+  w.coalesced = t.coalesced;
+  w.shed = t.shed;
+  w.rejected = t.rejected;
+  w.deadline_exceeded = t.deadline_exceeded;
+  w.internal_errors = t.internal_errors;
+  w.invalid_arguments = t.invalid_arguments;
   w.routed = rs.routed;
   w.model_not_found = rs.model_not_found;
   w.net_accepted = net.accepted;

@@ -86,6 +86,8 @@ struct NetServerConfig {
   int poll_ms = 20;
 };
 
+/// The one definition of the net layer's counters: NetServer keeps them in
+/// a NetServerStats and increments them in place.
 struct NetServerStats {
   std::uint64_t accepted = 0;  // connections admitted to a slot
   std::uint64_t closed = 0;    // fds closed (EOF, error, drain, protocol)
@@ -232,20 +234,8 @@ class NetServer {
   std::vector<std::unique_ptr<InflightQuery>> query_store_;
   std::vector<InflightQuery*> free_queries_;
 
-  // Stats, guarded by mutex_.
-  std::uint64_t accepted_ = 0;
-  std::uint64_t closed_ = 0;
-  std::uint64_t rejected_connections_ = 0;
-  std::uint64_t accept_failures_ = 0;
-  std::uint64_t frames_in_ = 0;
-  std::uint64_t frames_out_ = 0;
-  std::uint64_t requests_ = 0;
-  std::uint64_t responses_ = 0;
-  std::uint64_t decode_errors_ = 0;
-  std::uint64_t protocol_errors_ = 0;
-  std::uint64_t backpressure_shed_ = 0;
-  std::uint64_t read_faults_ = 0;
-  std::uint64_t open_slots_ = 0;
+  // Stats, guarded by mutex_; stats() adds draining and finished.
+  NetServerStats counters_;
 };
 
 /// Fills a WireStats from the router's totals plus the net layer's own

@@ -69,15 +69,15 @@ bool Router::retire(const std::string& name) {
   // Drain outside the router lock: admitted queries are answered (their
   // waiters pump), new submits race to ShuttingDown; in-flight routes that
   // snapshotted the old map keep the server alive through their shared_ptr.
-  drain_and_fold(*server);
+  drain_and_merge(*server);
   return true;
 }
 
-void Router::drain_and_fold(InferenceServer& server) {
+void Router::drain_and_merge(InferenceServer& server) {
   server.shutdown();
   const ServerStats last = server.stats();
   std::lock_guard<std::mutex> lock(mutex_);
-  fold(last, retired_);
+  retired_.merge(last);
 }
 
 std::shared_ptr<InferenceServer> Router::route(std::string_view model,
@@ -207,29 +207,8 @@ std::vector<std::string> Router::models() const {
   return out;
 }
 
-void Router::fold(const ServerStats& in, RouterStats& out) {
-  out.queries += in.queries;
-  out.forwards += in.forwards;
-  out.batches += in.batches;
-  out.cache_hits += in.cache.hits;
-  out.cache_misses += in.cache.misses;
-  out.coalesced += in.coalesced;
-  out.shed += in.shed;
-  out.rejected += in.rejected;
-  out.deadline_exceeded += in.deadline_exceeded;
-  out.internal_errors += in.internal_errors;
-  out.invalid_arguments += in.invalid_arguments;
-  out.breaker_trips += in.breaker_trips;
-  out.breaker_probes += in.breaker_probes;
-  out.breaker_short_circuits += in.breaker_short_circuits;
-  out.source_cache += in.source_cache;
-  out.source_batch += in.source_batch;
-  out.source_coalesced += in.source_coalesced;
-  out.source_shed += in.source_shed;
-}
-
 RouterStats Router::stats() const {
-  // Snapshot-then-fold: a retire() completing between the snapshot and the
+  // Snapshot-then-merge: a retire() completing between the snapshot and the
   // retired_ read can transiently count that server's traffic twice. Stats
   // are monitoring data, not invariants — the totals are exact whenever no
   // retire is mid-flight.
@@ -238,7 +217,7 @@ RouterStats Router::stats() const {
   RouterStats out;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    out = retired_;  // totals only: retired_ holds no routing or models
+    out.total = retired_;
   }
   out.routed = routed_.load(std::memory_order_relaxed);
   out.model_not_found = model_not_found_.load(std::memory_order_relaxed);
@@ -253,7 +232,7 @@ RouterStats Router::stats() const {
     entry.model = name;
     entry.version = registry_.version(name);
     entry.stats = server->stats();
-    fold(entry.stats, out);
+    out.total.merge(entry.stats);
     out.models.push_back(std::move(entry));
   }
   return out;
@@ -269,7 +248,7 @@ void Router::shutdown() {
   }
   for (const auto& [name, server] : *live) {
     (void)name;
-    drain_and_fold(*server);
+    drain_and_merge(*server);
   }
 }
 

@@ -99,29 +99,13 @@ struct RouterStats {
   std::uint64_t routed = 0;           // requests that reached a server
   std::uint64_t model_not_found = 0;  // unknown / ambiguous model names
 
-  /// Totals folded over every server, live and retired, in name order —
-  /// same meanings as the ServerStats fields.
-  std::uint64_t queries = 0;
-  std::uint64_t forwards = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t internal_errors = 0;
-  std::uint64_t invalid_arguments = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t breaker_probes = 0;
-  std::uint64_t breaker_short_circuits = 0;
-  std::uint64_t source_cache = 0;
-  std::uint64_t source_batch = 0;
-  std::uint64_t source_coalesced = 0;
-  std::uint64_t source_shed = 0;
+  /// Totals merged (ServerStats::merge) over every server, live and
+  /// retired. The gauges breaker_open and cache.entries stay zero here;
+  /// read them per model from `models`.
+  ServerStats total;
 
   /// Client-side retries (predict with a RetryPolicy only; router-level,
-  /// not folded from servers). retry_requests is the budget denominator.
+  /// not merged from servers). retry_requests is the budget denominator.
   std::uint64_t retry_requests = 0;
   std::uint64_t retries = 0;
   std::uint64_t retry_successes = 0;
@@ -200,10 +184,8 @@ class Router {
   std::shared_ptr<InferenceServer> route(std::string_view model,
                                          Status* status);
 
-  static void fold(const ServerStats& in, RouterStats& out);
-
-  /// Shuts `server` down and folds its final traffic into retired_.
-  void drain_and_fold(InferenceServer& server);
+  /// Shuts `server` down and merges its final traffic into retired_.
+  void drain_and_merge(InferenceServer& server);
 
   RouterConfig config_;
   ModelRegistry registry_;
@@ -213,9 +195,8 @@ class Router {
   /// readers go through std::atomic_load. Never null.
   std::shared_ptr<const ServerMap> servers_ =
       std::make_shared<const ServerMap>();
-  /// Traffic of retired servers, folded in at retire() so totals survive
-  /// (the fold totals only; routing counters and models stay empty).
-  RouterStats retired_;
+  /// Traffic of retired servers, merged in at retire() so totals survive.
+  ServerStats retired_;
   std::atomic<std::uint64_t> routed_{0};
   std::atomic<std::uint64_t> model_not_found_{0};
   /// Retry budget across every policy'd predict: retries_ may not exceed

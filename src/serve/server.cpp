@@ -35,7 +35,7 @@ InferenceServer::InferenceServer(std::shared_ptr<ModelSlot> slot,
                                  const ServerConfig& config)
     : config_(config),
       slot_(std::move(slot)),
-      cache_(config.cache_capacity, config.cache_shards) {
+      cache_(config.cache_capacity) {
   assert(slot_ && slot_->snapshot()->model &&
          "InferenceServer requires a published model");
   config_.max_batch = std::max(1, config_.max_batch);
@@ -223,18 +223,18 @@ void InferenceServer::resolve_one_locked(std::uint32_t slot,
   switch (response.status.code()) {
     case support::StatusCode::kOk:
       if (response.source == Source::Coalesced)
-        ++source_coalesced_;
+        ++counters_.source_coalesced;
       else
-        ++source_batch_;
+        ++counters_.source_batch;
       break;
     case support::StatusCode::kOverloaded:
-      ++shed_;
+      ++counters_.shed;
       break;
     case support::StatusCode::kDeadlineExceeded:
-      ++deadline_exceeded_;
+      ++counters_.deadline_exceeded;
       break;
     default:  // kInternal: a failed forward. Nothing else resolves a slot.
-      ++internal_errors_;
+      ++counters_.internal_errors;
       break;
   }
   s.response = response;
@@ -292,13 +292,13 @@ Status InferenceServer::admit_locked(const Request& request, std::uint64_t fp,
   // injection only — this site runs under the server lock, so latency specs
   // here would serialize the whole server; use serve.forward for delays.)
   IRGNN_FAILPOINT("serve.admit", {
-    ++rejected_;
+    ++counters_.rejected;
     return Status::Overloaded("injected admission fault");
   });
   if (config_.max_queue > 0 && queue_.size() >= config_.max_queue) {
     switch (config_.shed_policy) {
       case ShedPolicy::Reject:
-        ++rejected_;
+        ++counters_.rejected;
         return Status::Overloaded();
       case ShedPolicy::DropOldest: {
         // Victim: the oldest queued request of the lowest priority class.
@@ -316,7 +316,7 @@ Status InferenceServer::admit_locked(const Request& request, std::uint64_t fp,
         if (victim_priority > request.priority) {
           // Everything queued outranks the newcomer: shedding never
           // promotes load over requests the queue already chose to carry.
-          ++rejected_;
+          ++counters_.rejected;
           return Status::Overloaded(
               "admission queue full of higher-priority requests");
         }
@@ -346,7 +346,8 @@ Status InferenceServer::admit_locked(const Request& request, std::uint64_t fp,
   *slot_out = slot;
   *gen_out = s.gen;
   queue_.push_back(slot);
-  peak_queue_ = std::max<std::uint64_t>(peak_queue_, queue_.size());
+  counters_.peak_queue =
+      std::max<std::uint64_t>(counters_.peak_queue, queue_.size());
   cv_queue_.notify_all();
   return Status::Ok();
 }
@@ -378,7 +379,7 @@ bool InferenceServer::try_coalesce_locked(const Request& request,
   // Priority inheritance: a leader carrying waiters must not be shed as if
   // it still had only its own (possibly Low) priority.
   if (request.priority > l.priority) l.priority = request.priority;
-  ++coalesced_;
+  ++counters_.coalesced;
   *slot_out = waiter;
   *gen_out = w.gen;
   return true;
@@ -416,7 +417,7 @@ StatusOr<InferenceServer::Future> InferenceServer::admit_or_coalesce(
       if (!breaker_probe_in_flight_ && Clock::now() >= breaker_next_probe_) {
         as_probe = true;
       } else {
-        ++breaker_short_circuits_;
+        ++counters_.breaker_short_circuits;
         admitted = Status::Unavailable();
       }
     }
@@ -426,7 +427,7 @@ StatusOr<InferenceServer::Future> InferenceServer::admit_or_coalesce(
       if (as_probe) {
         s.probe = true;
         breaker_probe_in_flight_ = true;
-        ++breaker_probes_;
+        ++counters_.breaker_probes;
       }
       if (config_.coalesce) {
         s.leading = true;
@@ -469,32 +470,9 @@ StatusOr<InferenceServer::Future> InferenceServer::submit(
 }
 
 Response InferenceServer::predict(const Request& request) {
-  // Inlined hit path (rather than submit().get()) so a warm cache hit
-  // provably performs zero heap allocations: fingerprint, snapshot, lookup
-  // and the Response all run off preallocated storage.
-  assert(request.graph && "Request without a graph");
-  if (request.graph->num_nodes() == 0) {
-    invalid_arguments_.fetch_add(1, std::memory_order_relaxed);
-    Response response;
-    response.status =
-        Status::InvalidArgument("empty graph: nothing to predict for");
-    response.source = Source::Shed;
-    return response;
-  }
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t fp = graph::fingerprint(*request.graph);
-  const std::shared_ptr<const PublishedModel> published = slot_->snapshot();
-  int label = 0;
-  if (cache_.lookup(hash_combine64(published->version, fp), &label,
-                    /*count_miss=*/false)) {
-    Response response;
-    response.label = label;
-    response.model_version = published->version;
-    response.source = Source::Cache;
-    return response;
-  }
-  StatusOr<Future> submitted =
-      admit_or_coalesce(request, fp, published->version);
+  // A warm cache hit comes back as an already-resolved future, so this
+  // path still performs zero heap allocations (serve_test counts them).
+  StatusOr<Future> submitted = submit(request);
   if (!submitted.ok()) {
     // Submit-side failures fold into the one result type sync callers see.
     Response response;
@@ -653,7 +631,7 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock,
         if (!breaker_open_ &&
             breaker_failures_ >= config_.breaker_trip_threshold) {
           breaker_open_ = true;
-          ++breaker_trips_;
+          ++counters_.breaker_trips;
           breaker_next_probe_ =
               Clock::now() +
               std::chrono::microseconds(config_.breaker_probe_interval_us);
@@ -676,12 +654,12 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock,
       resolve_slot_locked(batch_slots_[i], response, pump_fired_);
     }
     if (forward_status.ok()) {
-      ++batches_;
-      forwards_ += batch_slots_.size();
-      max_batch_seen_ =
-          std::max<std::uint64_t>(max_batch_seen_, batch_slots_.size());
+      ++counters_.batches;
+      counters_.forwards += batch_slots_.size();
+      counters_.max_batch =
+          std::max<std::uint64_t>(counters_.max_batch, batch_slots_.size());
       if (published->version != last_served_version_) {
-        if (last_served_version_ != 0) ++model_swaps_;
+        if (last_served_version_ != 0) ++counters_.model_swaps;
         last_served_version_ = published->version;
       }
     }
@@ -753,7 +731,7 @@ void InferenceServer::background_loop() {
         support::BufferPool::global().trim();
         lock.lock();
         idle_trimmed = true;
-        ++idle_trims_;
+        ++counters_.idle_trims;
         continue;
       }
       cv_queue_.wait_until(lock, deadline);
@@ -767,23 +745,9 @@ void InferenceServer::background_loop() {
 
 ServerStats InferenceServer::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  ServerStats out;
+  ServerStats out = counters_;
   out.queries = queries_.load(std::memory_order_relaxed);
-  out.forwards = forwards_;
-  out.batches = batches_;
-  out.max_batch = max_batch_seen_;
-  out.model_swaps = model_swaps_;
-  out.idle_trims = idle_trims_;
-  out.coalesced = coalesced_;
-  out.shed = shed_;
-  out.rejected = rejected_;
-  out.deadline_exceeded = deadline_exceeded_;
-  out.internal_errors = internal_errors_;
-  out.peak_queue = peak_queue_;
   out.invalid_arguments = invalid_arguments_.load(std::memory_order_relaxed);
-  out.breaker_trips = breaker_trips_;
-  out.breaker_probes = breaker_probes_;
-  out.breaker_short_circuits = breaker_short_circuits_;
   out.breaker_open = breaker_open_;
   out.cache = cache_.stats();
   // Responses by source — a partition of every resolved query. Cache hits
@@ -792,14 +756,40 @@ ServerStats InferenceServer::stats() const {
   // rejected at submit, expired, failed forward — waiters of shed leaders
   // included) reported Source::Shed.
   out.source_cache = out.cache.hits;
-  out.source_batch = source_batch_;
-  out.source_coalesced = source_coalesced_;
   // Short-circuited misses are shed-class: refused without a forward, like
   // rejections — part of the source partition (invalid_arguments is NOT:
   // those were never counted as queries).
-  out.source_shed = shed_ + rejected_ + deadline_exceeded_ +
-                    internal_errors_ + breaker_short_circuits_;
+  out.source_shed = out.shed + out.rejected + out.deadline_exceeded +
+                    out.internal_errors + out.breaker_short_circuits;
   return out;
+}
+
+void ServerStats::merge(const ServerStats& other) {
+  queries += other.queries;
+  forwards += other.forwards;
+  batches += other.batches;
+  max_batch = std::max(max_batch, other.max_batch);
+  model_swaps += other.model_swaps;
+  idle_trims += other.idle_trims;
+  coalesced += other.coalesced;
+  shed += other.shed;
+  rejected += other.rejected;
+  deadline_exceeded += other.deadline_exceeded;
+  internal_errors += other.internal_errors;
+  peak_queue = std::max(peak_queue, other.peak_queue);
+  invalid_arguments += other.invalid_arguments;
+  breaker_trips += other.breaker_trips;
+  breaker_probes += other.breaker_probes;
+  breaker_short_circuits += other.breaker_short_circuits;
+  source_cache += other.source_cache;
+  source_batch += other.source_batch;
+  source_coalesced += other.source_coalesced;
+  source_shed += other.source_shed;
+  cache.hits += other.cache.hits;
+  cache.misses += other.cache.misses;
+  cache.insertions += other.cache.insertions;
+  cache.refreshes += other.cache.refreshes;
+  cache.evictions += other.cache.evictions;
 }
 
 }  // namespace irgnn::serve

@@ -57,7 +57,8 @@
 // and are drained by shutdown() like every admitted query. Coalescing
 // changes WHEN a forward runs, never its bits; a waiter's label is
 // bit-identical to a serial predict by the reported version. Accounting
-// partitions exactly: cache hits + cache misses + coalesced == queries.
+// partitions exactly: cache hits + cache misses + coalesced == queries
+// (ServerStats::conserved).
 //
 // Failure containment: a per-server circuit breaker (ServerConfig::
 // breaker_trip_threshold) trips after N consecutive failed forwards into a
@@ -108,9 +109,8 @@ struct ServerConfig {
   std::size_t max_queue = 0;
   ShedPolicy shed_policy = ShedPolicy::Reject;
 
-  /// Prediction-cache entry budget (0 disables caching) and shard count.
+  /// Prediction-cache entry budget (0 disables caching).
   std::size_t cache_capacity = 4096;
-  int cache_shards = 8;
 
   /// Attach duplicate in-flight queries to one leader slot instead of
   /// enqueuing them (see the header comment). Independent of the cache:
@@ -141,6 +141,9 @@ struct ServerConfig {
   std::int64_t idle_trim_us = 0;
 };
 
+/// The one definition of a server's counters: InferenceServer keeps its
+/// mutex-guarded counters in a ServerStats and increments them in place,
+/// and serve::Router totals are a ServerStats merged over every server.
 struct ServerStats {
   std::uint64_t queries = 0;     // client submissions
   std::uint64_t forwards = 0;    // slots answered by the model
@@ -150,9 +153,8 @@ struct ServerStats {
   std::uint64_t idle_trims = 0;  // arena trims triggered by idleness
 
   // In-flight coalescing. `coalesced` counts every query that attached to
-  // a leader — the conservation invariant is
-  //   cache.hits + cache.misses + coalesced == queries
-  // (a coalesced query counts neither a hit nor a miss). source_coalesced
+  // a leader — the conservation invariant is conserved() below (a
+  // coalesced query counts neither a hit nor a miss). source_coalesced
   // below counts the subset whose leader resolved Ok.
   std::uint64_t coalesced = 0;
 
@@ -185,6 +187,18 @@ struct ServerStats {
   std::uint64_t source_shed = 0;
 
   CacheStats cache;
+
+  /// Accumulates `other`: sums every counter and every additive CacheStats
+  /// field, takes the max of the high-water marks max_batch and peak_queue.
+  /// The gauges breaker_open and cache.entries are left untouched — they
+  /// describe one server, not a total.
+  void merge(const ServerStats& other);
+
+  /// The accounting partition: every query is a cache hit, a cache miss or
+  /// a coalesced waiter — cache.hits + cache.misses + coalesced == queries.
+  bool conserved() const {
+    return cache.hits + cache.misses + coalesced == queries;
+  }
 };
 
 class InferenceServer {
@@ -363,10 +377,9 @@ class InferenceServer {
                       std::uint32_t* slot, std::uint64_t* gen,
                       FiredList& fired);
 
-  /// The shared miss path of submit()/predict(): coalesce onto an in-
-  /// flight leader, or count the miss, admit and register the new leader
-  /// in the in-flight map. Runs any shed-victim continuations before
-  /// returning.
+  /// The miss path of submit(): coalesce onto an in-flight leader, or
+  /// count the miss, admit and register the new leader in the in-flight
+  /// map. Runs any shed-victim continuations before returning.
   StatusOr<Future> admit_or_coalesce(const Request& request, std::uint64_t fp,
                                      std::uint64_t version);
 
@@ -446,28 +459,14 @@ class InferenceServer {
   bool breaker_open_ = false;
   bool breaker_probe_in_flight_ = false;
   Clock::time_point breaker_next_probe_{};
-  std::uint64_t breaker_trips_ = 0;
-  std::uint64_t breaker_probes_ = 0;
-  std::uint64_t breaker_short_circuits_ = 0;
 
-  // Stats. queries_ is atomic so the zero-allocation hit path never takes
-  // the server mutex; the rest mutate under mutex_. invalid_arguments_ is
-  // atomic for the same reason: validation happens before the lock.
+  // Stats. Every counter but two lives in counters_ and mutates under
+  // mutex_. queries_ and invalid_arguments_ are atomics because the
+  // zero-allocation hit path and request validation run without the lock;
+  // stats() fills them, the gauges and the derived source buckets.
+  ServerStats counters_;
   std::atomic<std::uint64_t> invalid_arguments_{0};
   std::atomic<std::uint64_t> queries_{0};
-  std::uint64_t forwards_ = 0;
-  std::uint64_t batches_ = 0;
-  std::uint64_t max_batch_seen_ = 0;
-  std::uint64_t model_swaps_ = 0;
-  std::uint64_t idle_trims_ = 0;
-  std::uint64_t coalesced_ = 0;
-  std::uint64_t source_batch_ = 0;
-  std::uint64_t source_coalesced_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t deadline_exceeded_ = 0;
-  std::uint64_t internal_errors_ = 0;
-  std::uint64_t peak_queue_ = 0;
   std::uint64_t last_served_version_ = 0;
 };
 

@@ -228,8 +228,7 @@ TEST_F(ChaosTest, BreakerTripsServesCacheShortCircuitsMissesAndRecovers) {
   EXPECT_EQ(degraded.forwards, forwards_at_trip);
   // Conservation holds under degradation: a short-circuited miss is still
   // a miss.
-  EXPECT_EQ(degraded.cache.hits + degraded.cache.misses + degraded.coalesced,
-            degraded.queries);
+  EXPECT_TRUE(degraded.conserved());
 
   // Recovery: heal the model, wait out the probe interval; the next miss is
   // admitted as the half-open probe, succeeds, and closes the breaker.
@@ -245,9 +244,7 @@ TEST_F(ChaosTest, BreakerTripsServesCacheShortCircuitsMissesAndRecovers) {
   const serve::Response after = server.predict(graphs[8]);
   EXPECT_TRUE(after.ok());
   EXPECT_EQ(after.label, expected[8]);
-  EXPECT_EQ(server.stats().cache.hits + server.stats().cache.misses +
-                server.stats().coalesced,
-            server.stats().queries);
+  EXPECT_TRUE(server.stats().conserved());
 }
 
 TEST_F(ChaosTest, AllocationFailureIsContainedToAnInternalResponse) {
@@ -431,9 +428,7 @@ TEST_F(ChaosTest, ScriptedFaultWindowReproducesBitForBit) {
       EXPECT_GT(once.stats.breaker_short_circuits, 0u);
     }
     // Conservation, under injection, exactly.
-    EXPECT_EQ(once.stats.cache.hits + once.stats.cache.misses +
-                  once.stats.coalesced,
-              once.stats.queries);
+    EXPECT_TRUE(once.stats.conserved());
     // Different seed, different run (schedule or traffic or both).
     const ScriptedRun other = run_scripted(1, 0xFACE, interval_us);
     EXPECT_NE(once.answers, other.answers);
@@ -549,11 +544,10 @@ void run_concurrent_chaos(bool with_faults) {
   EXPECT_FALSE(wrong_bits.load())
       << "an admitted answer differed from serial predict by its version";
 
-  // Post-shutdown stats fold every server, live and retired.
-  const serve::RouterStats stats = router.stats();
+  // Post-shutdown totals merge every server, live and retired.
+  const serve::ServerStats stats = router.stats().total;
   // Conservation under injection, concurrency and hot swap:
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.coalesced,
-            stats.queries);
+  EXPECT_TRUE(stats.conserved());
   // Sources partition resolved client queries exactly.
   EXPECT_EQ(stats.source_cache + stats.source_batch + stats.source_coalesced +
                 stats.source_shed,
@@ -649,7 +643,7 @@ TEST_F(ChaosTest, RetryRecoversFromATransientFault) {
   EXPECT_EQ(stats.retry_requests, 1u);
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.retry_successes, 1u);
-  EXPECT_EQ(stats.internal_errors, 1u);
+  EXPECT_EQ(stats.total.internal_errors, 1u);
 }
 
 TEST_F(ChaosTest, RetryBudgetCapsAmplification) {
@@ -678,10 +672,10 @@ TEST_F(ChaosTest, RetryBudgetCapsAmplification) {
   none.budget_floor = 0;
   const serve::Response r = router.predict(serve::Request(graphs[1]), none);
   EXPECT_EQ(r.status.code(), support::StatusCode::kInternal);
-  serve::RouterStats stats = router.stats();
+  const serve::RouterStats stats = router.stats();
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.retry_budget_exhausted, 1u);
-  EXPECT_EQ(stats.internal_errors, 1u) << "exactly one forward was spent";
+  EXPECT_EQ(stats.total.internal_errors, 1u) << "exactly one forward was spent";
 }
 
 TEST_F(ChaosTest, RetryNeverRetriesAnOverloadedShed) {
@@ -711,7 +705,7 @@ TEST_F(ChaosTest, RetryNeverRetriesAnOverloadedShed) {
   const serve::RouterStats stats = router.stats();
   EXPECT_EQ(stats.retries, 0u)
       << "a shed retried is an overload amplified — never";
-  EXPECT_EQ(stats.rejected, 1u) << "exactly one admission attempt";
+  EXPECT_EQ(stats.total.rejected, 1u) << "exactly one admission attempt";
 }
 
 // --- Wire-layer chaos (src/net/) --------------------------------------------

@@ -23,25 +23,28 @@ ExperimentOptions tiny_options() {
 }
 
 TEST(DatasetTest, BuildsGraphsForAllRegionsAndSequences) {
-  Dataset dataset = build_dataset({3, 7});
-  EXPECT_EQ(dataset.num_regions(), 56u);
-  EXPECT_EQ(dataset.num_sequences(), 3u);
-  for (std::size_t r = 0; r < dataset.num_regions(); ++r)
+  const auto dataset = build_dataset_shared({3, 7});
+  EXPECT_EQ(dataset->num_regions(), 56u);
+  EXPECT_EQ(dataset->num_sequences(), 3u);
+  for (std::size_t r = 0; r < dataset->num_regions(); ++r)
     for (std::size_t s = 0; s < 3; ++s)
-      EXPECT_GT(dataset.graph(r, s).num_nodes(), 0u);
+      EXPECT_GT(dataset->graph(r, s).num_nodes(), 0u);
 }
 
 TEST(DatasetTest, DeterministicForSeed) {
-  Dataset a = build_dataset({2, 9});
-  Dataset b = build_dataset({2, 9});
-  for (std::size_t r = 0; r < a.num_regions(); ++r)
+  // Different num_threads keys force two separate builds (identical
+  // options would return the one pooled instance).
+  const auto a = build_dataset_shared({2, 9, 0});
+  const auto b = build_dataset_shared({2, 9, 1});
+  ASSERT_NE(a.get(), b.get());
+  for (std::size_t r = 0; r < a->num_regions(); ++r)
     for (std::size_t s = 0; s < 2; ++s)
-      EXPECT_EQ(a.graph(r, s).to_text(), b.graph(r, s).to_text());
+      EXPECT_EQ(a->graph(r, s).to_text(), b->graph(r, s).to_text());
 }
 
 TEST(DatasetTest, SharedBuildsArePooledPerOptions) {
   // Identical options must return the same pooled instance — repeated
-  // build_dataset calls in one process reuse graph storage instead of
+  // build_dataset_shared calls in one process reuse graph storage instead of
   // re-running the compile/extract/build pipeline.
   auto a = build_dataset_shared({2, 9});
   auto b = build_dataset_shared({2, 9});
@@ -51,23 +54,17 @@ TEST(DatasetTest, SharedBuildsArePooledPerOptions) {
   EXPECT_NE(a.get(), other_seed.get());
   auto other_threads = build_dataset_shared({2, 9, 1});
   EXPECT_NE(a.get(), other_threads.get());
-  // The copying wrapper draws from the same pool.
-  Dataset copy = build_dataset({2, 9});
-  EXPECT_EQ(copy.num_regions(), a->num_regions());
-  for (std::size_t r = 0; r < copy.num_regions(); ++r)
-    for (std::size_t s = 0; s < copy.num_sequences(); ++s)
-      EXPECT_EQ(copy.graph(r, s).to_text(), a->graph(r, s).to_text());
 }
 
 TEST(DatasetTest, SequencesReshapeGraphs) {
-  Dataset dataset = build_dataset({6, 21});
+  const auto dataset = build_dataset_shared({6, 21});
   // At least one region must have structurally different variants across
   // sequences (otherwise augmentation would be a no-op).
   bool any_differs = false;
-  for (std::size_t r = 0; r < dataset.num_regions(); ++r) {
-    for (std::size_t s = 1; s < dataset.num_sequences(); ++s)
-      any_differs |= dataset.graph(r, s).num_nodes() !=
-                     dataset.graph(r, 0).num_nodes();
+  for (std::size_t r = 0; r < dataset->num_regions(); ++r) {
+    for (std::size_t s = 1; s < dataset->num_sequences(); ++s)
+      any_differs |= dataset->graph(r, s).num_nodes() !=
+                     dataset->graph(r, 0).num_nodes();
   }
   EXPECT_TRUE(any_differs);
 }

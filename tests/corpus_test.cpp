@@ -1,5 +1,5 @@
 // Tests for the corpus ingestion frontend and the .irds dataset cache:
-// thread-count invariance, bit-identity against core::build_dataset,
+// thread-count invariance, bit-identity against core::build_dataset_shared,
 // malformed-file containment, dedup semantics, byte-deterministic cache
 // writes, warm loads with zero graph rebuilds, and hostile-input sweeps
 // (every-byte truncation + seeded mutation fuzz) over the cache loader.
@@ -174,8 +174,7 @@ TEST(IngestTest, DumpedSuiteMatchesBuildDatasetBitForBit) {
   const std::size_t S = dump_options.num_sequences;
   ASSERT_EQ(files, workloads::benchmark_suite().size() * S);
 
-  const core::Dataset dataset =
-      core::build_dataset({S, dump_options.seed, 0});
+  const auto dataset = core::build_dataset_shared({S, dump_options.seed, 0});
 
   for (int threads : {1, 4}) {
     corpus::IngestOptions options;
@@ -189,7 +188,7 @@ TEST(IngestTest, DumpedSuiteMatchesBuildDatasetBitForBit) {
     for (std::size_t k = 0; k < result.entries.size(); ++k) {
       const graph::ProgramGraph& got =
           result.graphs[result.entries[k].graph_index];
-      const graph::ProgramGraph& want = dataset.graph(k / S, k % S);
+      const graph::ProgramGraph& want = dataset->graph(k / S, k % S);
       EXPECT_TRUE(same_graph(got, want, /*with_text=*/true))
           << "entry " << k << " (" << result.entries[k].name << ") vs "
           << want.name;

@@ -513,7 +513,12 @@ bool raw_recv_response(int fd, DecodedResponse* out) {
 }
 
 TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheRouter) {
-  serve::Router router;
+  // Clients pump (no background loop) and one query fills the queue, so
+  // the test decides exactly when a wire request is rejected.
+  serve::RouterConfig config;
+  config.max_queue = 1;
+  config.server.background_loop = false;
+  serve::Router router(config);
   router.publish("static", std::make_shared<const gnn::StaticModel>(
                                small_config()));
   net::NetServer server(router, {});
@@ -536,13 +541,64 @@ TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheRouter) {
     }
   }
 
+  // Traffic that lands on other counters: a miss refused by a full queue
+  // (rejected), an unknown model name (model_not_found) and a zero-node
+  // graph (invalid_arguments).
+  const graph::ProgramGraph parked_graph = suite_graph(29);
+  auto parked = router.submit(serve::Request(parked_graph));
+  ASSERT_TRUE(parked.ok());
+  auto refused = client.predict(serve::Request(suite_graph(34)));
+  ASSERT_TRUE(refused.ok());
+  EXPECT_EQ(refused->status.code(), StatusCode::kOverloaded);
+  EXPECT_TRUE(parked.value().get().ok());
+  auto unknown = client.predict(serve::Request(graphs[0], "nope"));
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_EQ(unknown->status.code(), StatusCode::kModelNotFound);
+  const graph::ProgramGraph empty;
+  auto invalid = client.predict(serve::Request(empty));
+  ASSERT_TRUE(invalid.ok());
+  EXPECT_EQ(invalid->status.code(), StatusCode::kInvalidArgument);
+
   net::WireStats stats{};
   ASSERT_TRUE(client.get_stats(&stats).ok());
   EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.coalesced,
             stats.queries);
-  EXPECT_EQ(stats.net_requests, graphs.size() * 3);
+  EXPECT_EQ(stats.net_requests, graphs.size() * 3 + 3);
+  EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.net_decode_errors, 0u);
   EXPECT_EQ(stats.net_protocol_errors, 0u);
+  EXPECT_EQ(stats.model_not_found, 1u);
+  EXPECT_EQ(stats.invalid_arguments, 1u);
+
+  // The frame maps field for field: router fields are the router's totals,
+  // net_* fields the net server's counters. The stats reply's own frame is
+  // counted after the frame was filled.
+  const serve::RouterStats rs = router.stats();
+  const serve::ServerStats& t = rs.total;
+  EXPECT_EQ(stats.queries, t.queries);
+  EXPECT_EQ(stats.forwards, t.forwards);
+  EXPECT_EQ(stats.batches, t.batches);
+  EXPECT_EQ(stats.cache_hits, t.cache.hits);
+  EXPECT_EQ(stats.cache_misses, t.cache.misses);
+  EXPECT_EQ(stats.coalesced, t.coalesced);
+  EXPECT_EQ(stats.shed, t.shed);
+  EXPECT_EQ(stats.rejected, t.rejected);
+  EXPECT_EQ(stats.deadline_exceeded, t.deadline_exceeded);
+  EXPECT_EQ(stats.internal_errors, t.internal_errors);
+  EXPECT_EQ(stats.invalid_arguments, t.invalid_arguments);
+  EXPECT_EQ(stats.routed, rs.routed);
+  EXPECT_EQ(stats.model_not_found, rs.model_not_found);
+  const net::NetServerStats ns = server.stats();
+  EXPECT_EQ(stats.net_accepted, ns.accepted);
+  EXPECT_EQ(stats.net_closed, ns.closed);
+  EXPECT_EQ(stats.net_open, ns.open_slots);
+  EXPECT_EQ(stats.net_frames_in, ns.frames_in);
+  EXPECT_EQ(stats.net_frames_out + 1, ns.frames_out);
+  EXPECT_EQ(stats.net_requests, ns.requests);
+  EXPECT_EQ(stats.net_decode_errors, ns.decode_errors);
+  EXPECT_EQ(stats.net_protocol_errors, ns.protocol_errors);
+  EXPECT_EQ(stats.net_backpressure_shed, ns.backpressure_shed);
+  EXPECT_EQ(stats.net_accept_failures, ns.accept_failures);
 
   client.close();
   server.shutdown();

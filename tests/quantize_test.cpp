@@ -276,7 +276,7 @@ TEST(QuantizeTest, RouterServesFloatAndInt8SideBySide) {
   ASSERT_EQ(stats.models.size(), 2u);
   for (const serve::RouterModelStats& m : stats.models) {
     const serve::ServerStats& s = m.stats;
-    EXPECT_EQ(s.cache.hits + s.cache.misses + s.coalesced, s.queries)
+    EXPECT_TRUE(s.conserved())
         << "conservation law broken for model " << m.model;
     EXPECT_EQ(s.queries, 2 * ptrs.size()) << m.model;
     // Pass two repeats every graph: each model's cache must answer it.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -109,7 +110,9 @@ TEST(RouterTest, RoutesByNameAndReportsModelNotFound) {
   const serve::RouterStats stats = router.stats();
   EXPECT_EQ(stats.model_not_found, 4u);
   EXPECT_EQ(stats.models.size(), 2u);
-  EXPECT_EQ(stats.shed + stats.rejected + stats.deadline_exceeded, 0u);
+  EXPECT_EQ(stats.total.shed + stats.total.rejected +
+                stats.total.deadline_exceeded,
+            0u);
 
   // Retire stops routing; the other model keeps serving.
   EXPECT_TRUE(router.retire("snb"));
@@ -119,7 +122,7 @@ TEST(RouterTest, RoutesByNameAndReportsModelNotFound) {
   EXPECT_EQ(router.predict(serve::Request(graphs[0], "skl")).label,
             expected_b[0]);
   // Retired traffic stays in the totals.
-  EXPECT_GE(router.stats().queries, 4 * graphs.size());
+  EXPECT_GE(router.stats().total.queries, 4 * graphs.size());
 }
 
 TEST(RouterTest, AdmittedResponsesBitIdenticalForEveryPolicyAndBound) {
@@ -185,7 +188,7 @@ TEST(RouterTest, AdmittedResponsesBitIdenticalForEveryPolicyAndBound) {
             << " max_queue=" << max_queue;
       }
       const serve::RouterStats stats = router.stats();
-      EXPECT_EQ(stats.shed + stats.rejected,
+      EXPECT_EQ(stats.total.shed + stats.total.rejected,
                 static_cast<std::uint64_t>(shed_answers.load()));
     }
   }
@@ -255,8 +258,8 @@ TEST(RouterTest, SheddingUnderOverloadNeverCorruptsAdmittedResults) {
     }
     const serve::RouterStats stats = router.stats();
     EXPECT_LE(stats.models[0].stats.peak_queue, config.max_queue);
-    EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
-    EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(rejected));
+    EXPECT_EQ(stats.total.shed, static_cast<std::uint64_t>(shed));
+    EXPECT_EQ(stats.total.rejected, static_cast<std::uint64_t>(rejected));
   }
 }
 
@@ -372,17 +375,51 @@ TEST(RouterTest, DropOldestShedsLowestPriorityAndRejectsOutrankedNewcomers) {
   EXPECT_EQ(stats.source_shed, 2u);
 }
 
+/// Field-by-field equality of two router totals: every counter and every
+/// additive CacheStats field (the gauges are not part of a total).
+void expect_same_totals(const serve::ServerStats& got,
+                        const serve::ServerStats& want) {
+  EXPECT_EQ(got.queries, want.queries);
+  EXPECT_EQ(got.forwards, want.forwards);
+  EXPECT_EQ(got.batches, want.batches);
+  EXPECT_EQ(got.max_batch, want.max_batch);
+  EXPECT_EQ(got.model_swaps, want.model_swaps);
+  EXPECT_EQ(got.idle_trims, want.idle_trims);
+  EXPECT_EQ(got.coalesced, want.coalesced);
+  EXPECT_EQ(got.shed, want.shed);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.deadline_exceeded, want.deadline_exceeded);
+  EXPECT_EQ(got.internal_errors, want.internal_errors);
+  EXPECT_EQ(got.peak_queue, want.peak_queue);
+  EXPECT_EQ(got.invalid_arguments, want.invalid_arguments);
+  EXPECT_EQ(got.breaker_trips, want.breaker_trips);
+  EXPECT_EQ(got.breaker_probes, want.breaker_probes);
+  EXPECT_EQ(got.breaker_short_circuits, want.breaker_short_circuits);
+  EXPECT_EQ(got.source_cache, want.source_cache);
+  EXPECT_EQ(got.source_batch, want.source_batch);
+  EXPECT_EQ(got.source_coalesced, want.source_coalesced);
+  EXPECT_EQ(got.source_shed, want.source_shed);
+  EXPECT_EQ(got.cache.hits, want.cache.hits);
+  EXPECT_EQ(got.cache.misses, want.cache.misses);
+  EXPECT_EQ(got.cache.insertions, want.cache.insertions);
+  EXPECT_EQ(got.cache.refreshes, want.cache.refreshes);
+  EXPECT_EQ(got.cache.evictions, want.cache.evictions);
+}
+
 TEST(RouterTest, CoalescingFoldsIntoRouterStatsAndSurvivesRetire) {
   auto model = make_model(0x7A);
+  auto other = make_model(0x7B);
   const std::vector<int> expected = serial_predict(*model);
+  const std::vector<int> expected_other = serial_predict(*other);
   const auto& graphs = test_graphs();
 
   serve::RouterConfig config;
-  config.max_queue = 0;  // nothing may shed in this test
+  config.max_queue = 0;  // nothing is shed for lack of room in this test
   config.server.background_loop = false;
   config.server.cache_capacity = 64;
   serve::Router router(config);
   router.publish("m", model);
+  router.publish("n", other);
 
   // Duplicate in-flight submits through the router coalesce on the routed
   // server: one forward answers both.
@@ -399,31 +436,73 @@ TEST(RouterTest, CoalescingFoldsIntoRouterStatsAndSurvivesRetire) {
   EXPECT_EQ(hit.label, expected[2]);
   EXPECT_EQ(hit.source, serve::Source::Cache);
 
-  const serve::RouterStats live = router.stats();
-  EXPECT_EQ(live.queries, 3u);
-  EXPECT_EQ(live.forwards, 1u);
-  EXPECT_EQ(live.coalesced, 1u);
-  EXPECT_EQ(live.source_coalesced, 1u);
-  EXPECT_EQ(live.cache_hits, 1u);
-  EXPECT_EQ(live.cache_misses, 1u);
+  // Two distinct misses queued together: m's largest batch is 2.
+  auto a = router.submit(serve::Request(graphs[0], "m"));
+  auto b = router.submit(serve::Request(graphs[1], "m"));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a.value().get().label, expected[0]);
+  EXPECT_EQ(b.value().get().label, expected[1]);
 
-  // Retiring the model folds its traffic into the retained totals — router
-  // stats survive the server they came from, counter for counter.
+  // Different traffic on n: three queries expire in the queue before a
+  // fourth is pumped, so n's queue peaks at 4 while its largest batch is 1
+  // — the high-water marks of the two servers peak on different fields.
+  std::vector<serve::InferenceServer::Future> expiring;
+  for (std::size_t g = 0; g < 3; ++g) {
+    serve::Request hurried(graphs[g], "n");
+    hurried.deadline_us = 1;
+    auto f = router.submit(hurried);
+    ASSERT_TRUE(f.ok());
+    expiring.push_back(std::move(f).value());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  auto patient = router.submit(serve::Request(graphs[3], "n"));
+  ASSERT_TRUE(patient.ok());
+  EXPECT_EQ(patient.value().get().label, expected_other[3]);
+  for (auto& f : expiring)
+    EXPECT_EQ(f.get().status.code(), serve::StatusCode::kDeadlineExceeded);
+
+  const serve::RouterStats live = router.stats();
+  ASSERT_EQ(live.models.size(), 2u);
+  const serve::ServerStats m = live.models[0].stats;  // name order: m, n
+  const serve::ServerStats& n = live.models[1].stats;
+  EXPECT_EQ(m.queries, 5u);
+  EXPECT_EQ(m.forwards, 3u);
+  EXPECT_EQ(m.coalesced, 1u);
+  EXPECT_EQ(m.source_coalesced, 1u);
+  EXPECT_EQ(m.cache.hits, 1u);
+  EXPECT_EQ(m.cache.misses, 3u);
+  EXPECT_EQ(m.max_batch, 2u);
+  EXPECT_EQ(m.peak_queue, 2u);
+  EXPECT_EQ(n.queries, 4u);
+  EXPECT_EQ(n.forwards, 1u);
+  EXPECT_EQ(n.deadline_exceeded, 3u);
+  EXPECT_EQ(n.max_batch, 1u);
+  EXPECT_EQ(n.peak_queue, 4u);
+
+  serve::ServerStats both = m;
+  both.merge(n);
+  expect_same_totals(live.total, both);
+  EXPECT_EQ(live.total.max_batch, 2u) << "high-water marks take the max";
+  EXPECT_EQ(live.total.peak_queue, 4u) << "high-water marks take the max";
+  EXPECT_TRUE(live.total.conserved());
+
+  // Retiring m merges its final traffic into the retained totals — router
+  // stats survive the server they came from, counter for counter, and the
+  // high-water marks keep their max across live and retired servers.
   ASSERT_TRUE(router.retire("m"));
-  const serve::RouterStats folded = router.stats();
-  EXPECT_TRUE(folded.models.empty());
-  EXPECT_EQ(folded.queries, live.queries);
-  EXPECT_EQ(folded.forwards, live.forwards);
-  EXPECT_EQ(folded.batches, live.batches);
-  EXPECT_EQ(folded.coalesced, live.coalesced);
-  EXPECT_EQ(folded.cache_hits, live.cache_hits);
-  EXPECT_EQ(folded.cache_misses, live.cache_misses);
-  EXPECT_EQ(folded.source_cache, live.source_cache);
-  EXPECT_EQ(folded.source_batch, live.source_batch);
-  EXPECT_EQ(folded.source_coalesced, live.source_coalesced);
-  EXPECT_EQ(folded.source_shed, live.source_shed);
-  // Routing counters are the router's own, not folded from servers.
-  EXPECT_EQ(folded.routed, live.routed);
+  const serve::RouterStats after = router.stats();
+  ASSERT_EQ(after.models.size(), 1u);
+  EXPECT_EQ(after.models[0].model, "n");
+  serve::ServerStats want = m;
+  want.merge(after.models[0].stats);
+  expect_same_totals(after.total, want);
+  EXPECT_EQ(after.total.max_batch, 2u);
+  EXPECT_EQ(after.total.peak_queue, 4u);
+  // Gauges describe one server; a total leaves them at zero.
+  EXPECT_EQ(after.total.cache.entries, 0u);
+  EXPECT_FALSE(after.total.breaker_open);
+  // Routing counters are the router's own, not merged from servers.
+  EXPECT_EQ(after.routed, live.routed);
 }
 
 TEST(RouterTest, QueueTimeDeadlineExpiresToDeadlineExceeded) {
@@ -578,7 +657,8 @@ TEST(RouterTest, RetryPolicyNeverRetriesDeterministicFailures) {
   EXPECT_EQ(stats.retries, 0u)
       << "a deterministic failure was retried — wasted forwards";
   EXPECT_EQ(stats.retry_successes, 0u);
-  EXPECT_EQ(stats.rejected, 1u) << "exactly one admission attempt was made";
+  EXPECT_EQ(stats.total.rejected, 1u)
+      << "exactly one admission attempt was made";
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //   irgnn_ingest dump    --dir corpus/ [--sequences N] [--seed S]
 //       Serialize the synthetic benchmark suite to textual-IR files.
 //       --sequences 0 dumps raw region modules; N > 0 dumps the extracted
-//       post-pass variants core::build_dataset builds from.
+//       post-pass variants core::build_dataset_shared builds from.
 //
 //   irgnn_ingest ingest  --dir corpus/ --out data.irds [--threads T]
 //       [--no-dedup] — walk, parse, extract, build, dedup, write the cache.

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   server.wait();  // returns when a signal triggered the drain and it finished
 
   const net::NetServerStats net_stats = server.stats();
-  const serve::RouterStats router_stats = router.stats();
+  const serve::ServerStats totals = router.stats().total;
   router.shutdown();
   std::printf("irgnn_served drained: %llu connections served, %llu requests, "
               "%llu responses, %llu queries (%llu hits, %llu misses, %llu "
@@ -124,10 +124,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(net_stats.accepted),
               static_cast<unsigned long long>(net_stats.requests),
               static_cast<unsigned long long>(net_stats.responses),
-              static_cast<unsigned long long>(router_stats.queries),
-              static_cast<unsigned long long>(router_stats.cache_hits),
-              static_cast<unsigned long long>(router_stats.cache_misses),
-              static_cast<unsigned long long>(router_stats.coalesced),
+              static_cast<unsigned long long>(totals.queries),
+              static_cast<unsigned long long>(totals.cache.hits),
+              static_cast<unsigned long long>(totals.cache.misses),
+              static_cast<unsigned long long>(totals.coalesced),
               static_cast<unsigned long long>(net_stats.open_slots));
   // A leaked slot after a full drain is a bug worth a nonzero exit.
   return net_stats.open_slots == 0 ? 0 : 2;
