@@ -1,35 +1,23 @@
 #include "gnn/graph_batch.h"
 
-#include <array>
-#include <cstdint>
-
 #include "support/arena.h"
-#include "support/thread_pool.h"
 
 namespace irgnn::gnn {
 
-namespace {
-
-/// Below this many graphs the two-pass parallel assembly costs more than it
-/// saves; fall back to the straight serial concatenation.
-constexpr std::size_t kParallelBatchThreshold = 8;
-
-/// Empties the batch while keeping every buffer's capacity, so a reused
-/// batch assembles without reallocating.
-void reset_batch(GraphBatch& batch, int num_graphs) {
+void make_batch_into(GraphBatch& batch,
+                     const std::vector<const graph::ProgramGraph*>& graphs,
+                     int /*num_threads*/) {
+  // Empty every buffer but keep its capacity, so a reused batch assembles
+  // without reallocating.
   batch.relations.resize(graph::kNumEdgeKinds);
   batch.features.clear();
   batch.segment.clear();
   for (RelationEdges& rel : batch.relations) {
     rel.src.clear();
     rel.dst.clear();
-    rel.coeff.clear();
   }
-  batch.num_graphs = num_graphs;
-}
+  batch.num_graphs = static_cast<int>(graphs.size());
 
-void fill_batch_serial(GraphBatch& batch,
-                       const std::vector<const graph::ProgramGraph*>& graphs) {
   int offset = 0;
   for (int g = 0; g < batch.num_graphs; ++g) {
     const graph::ProgramGraph& pg = *graphs[g];
@@ -44,93 +32,15 @@ void fill_batch_serial(GraphBatch& batch,
     }
     offset += static_cast<int>(pg.nodes.size());
   }
-}
-
-void fill_batch_parallel(GraphBatch& batch,
-                         const std::vector<const graph::ProgramGraph*>& graphs,
-                         int num_threads) {
-  support::ThreadPool& pool = support::ThreadPool::global();
-  const std::size_t G = graphs.size();
-
-  // Pass 1: per-graph node and per-relation edge counts.
-  support::PoolVector<int> node_count(G);
-  support::PoolVector<std::array<int, graph::kNumEdgeKinds>> edge_count(
-      G, std::array<int, graph::kNumEdgeKinds>{});
-  pool.parallel_for(0, static_cast<std::int64_t>(G), num_threads,
-                    [&](std::int64_t g) {
-                      const graph::ProgramGraph& pg = *graphs[g];
-                      node_count[g] = static_cast<int>(pg.nodes.size());
-                      for (const auto& edge : pg.edges)
-                        ++edge_count[g][static_cast<int>(edge.kind)];
-                    });
-
-  // Prefix sums: node offsets and per-relation edge offsets.
-  support::PoolVector<int> node_offset(G + 1, 0);
-  support::PoolVector<std::array<int, graph::kNumEdgeKinds>> edge_offset(
-      G + 1, std::array<int, graph::kNumEdgeKinds>{});
-  for (std::size_t g = 0; g < G; ++g) {
-    node_offset[g + 1] = node_offset[g] + node_count[g];
-    for (int r = 0; r < graph::kNumEdgeKinds; ++r)
-      edge_offset[g + 1][r] = edge_offset[g][r] + edge_count[g][r];
-  }
-  batch.features.resize(node_offset[G]);
-  batch.segment.resize(node_offset[G]);
-  for (int r = 0; r < graph::kNumEdgeKinds; ++r) {
-    batch.relations[r].src.resize(edge_offset[G][r]);
-    batch.relations[r].dst.resize(edge_offset[G][r]);
-  }
-
-  // Pass 2: every graph fills its disjoint slices.
-  pool.parallel_for(
-      0, static_cast<std::int64_t>(G), num_threads, [&](std::int64_t g) {
-        const graph::ProgramGraph& pg = *graphs[g];
-        const int base = node_offset[g];
-        for (std::size_t i = 0; i < pg.nodes.size(); ++i) {
-          batch.features[base + i] = pg.nodes[i].feature;
-          batch.segment[base + i] = static_cast<int>(g);
-        }
-        std::array<int, graph::kNumEdgeKinds> cursor = edge_offset[g];
-        for (const auto& edge : pg.edges) {
-          const int r = static_cast<int>(edge.kind);
-          RelationEdges& rel = batch.relations[r];
-          rel.src[cursor[r]] = base + edge.src;
-          rel.dst[cursor[r]] = base + edge.dst;
-          ++cursor[r];
-        }
-      });
-}
-
-}  // namespace
-
-void make_batch_into(GraphBatch& batch,
-                     const std::vector<const graph::ProgramGraph*>& graphs,
-                     int num_threads) {
-  reset_batch(batch, static_cast<int>(graphs.size()));
-  if (graphs.size() < kParallelBatchThreshold || num_threads == 1)
-    fill_batch_serial(batch, graphs);
-  else
-    fill_batch_parallel(batch, graphs, num_threads);
 
   // RGCN normalization: 1/c_{i,r} with c the in-degree of i under r.
-  // Relations are few and independent; coefficients per relation fill in
-  // edge order either way, so this is deterministic too.
-  support::ThreadPool::global().parallel_for(
-      0, static_cast<std::int64_t>(batch.relations.size()),
-      batch.num_nodes() >= 1024 ? num_threads : 1, [&](std::int64_t r) {
-        RelationEdges& rel = batch.relations[r];
-        support::PoolVector<float> in_degree(batch.features.size(), 0.0f);
-        for (int dst : rel.dst) in_degree[dst] += 1.0f;
-        rel.coeff.assign(rel.dst.size(), 0.0f);
-        for (std::size_t e = 0; e < rel.dst.size(); ++e)
-          rel.coeff[e] = 1.0f / in_degree[rel.dst[e]];
-      });
-}
-
-GraphBatch make_batch(const std::vector<const graph::ProgramGraph*>& graphs,
-                      int num_threads) {
-  GraphBatch batch;
-  make_batch_into(batch, graphs, num_threads);
-  return batch;
+  for (RelationEdges& rel : batch.relations) {
+    support::PoolVector<float> in_degree(batch.features.size(), 0.0f);
+    for (int dst : rel.dst) in_degree[dst] += 1.0f;
+    rel.coeff.assign(rel.dst.size(), 0.0f);
+    for (std::size_t e = 0; e < rel.dst.size(); ++e)
+      rel.coeff[e] = 1.0f / in_degree[rel.dst[e]];
+  }
 }
 
 }  // namespace irgnn::gnn

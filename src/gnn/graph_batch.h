@@ -2,10 +2,8 @@
 // offset, edges split per relation with RGCN normalization coefficients, and
 // a segment vector maps nodes back to their graph for pooling.
 //
-// Batch assembly parallelizes over graphs: a counting pass sizes every
-// per-graph slice, prefix sums fix the offsets, and a fill pass writes the
-// disjoint slices concurrently. Output ordering equals the serial
-// concatenation, so batches are byte-identical for every num_threads.
+// Assembly is a serial concatenation into the caller's batch: every caller
+// builds small shard-sized batches and spends its workers on whole shards.
 #pragma once
 
 #include <vector>
@@ -23,15 +21,12 @@ struct GraphBatch {
   int num_nodes() const { return static_cast<int>(features.size()); }
 };
 
-/// Builds a batch from a set of graphs (order defines the segment ids).
-/// num_threads caps the assembly parallelism (<= 0: all pool workers).
-GraphBatch make_batch(const std::vector<const graph::ProgramGraph*>& graphs,
-                      int num_threads = 0);
-
-/// Rebuilds `batch` in place from `graphs`, producing exactly what
-/// make_batch returns but reusing the batch's existing buffers (clear keeps
-/// capacity). The training loop holds one scratch batch per gradient shard
-/// so steady-state batch assembly performs no heap allocations.
+/// Rebuilds `batch` in place from `graphs` (order defines the segment ids),
+/// reusing the batch's existing buffers (clear keeps capacity). Training
+/// and inference hold one scratch batch per shard, so steady-state batch
+/// assembly performs no heap allocations. `num_threads` is ignored: assembly
+/// is serial. It stays only for an existing benchmark caller and goes away
+/// together with that call.
 void make_batch_into(GraphBatch& batch,
                      const std::vector<const graph::ProgramGraph*>& graphs,
                      int num_threads = 0);

@@ -96,6 +96,11 @@ Tensor StaticModel::forward(const Stack& stack, const GraphBatch& batch,
   return stack.head.forward(vec);
 }
 
+Tensor StaticModel::forward(const GraphBatch& batch, InferenceShard&,
+                            Tensor* embeddings) const {
+  return forward(stack_, batch, nullptr, embeddings);
+}
+
 TrainStats StaticModel::train(
     const std::vector<const graph::ProgramGraph*>& graphs,
     const std::vector<int>& labels) {
@@ -162,9 +167,7 @@ TrainStats StaticModel::train(
               sc.chunk.push_back(graphs[order[i]]);
               sc.labels.push_back(labels[order[i]]);
             }
-            // Shards are small; keep the batch build serial and spend the
-            // workers on whole shards instead.
-            make_batch_into(sc.batch, sc.chunk, /*num_threads=*/1);
+            make_batch_into(sc.batch, sc.chunk);
             if (replica_ready[s]) {
               refresh_replica(main_params, replica_params[s]);
             } else {
@@ -219,121 +222,6 @@ TrainStats StaticModel::train(
                      : static_cast<double>(correct) /
                            static_cast<double>(labels.size());
   return stats;
-}
-
-void StaticModel::forward_shards(
-    const std::vector<const graph::ProgramGraph*>& graphs,
-    bool want_embeddings,
-    support::FunctionRef<void(std::size_t, const Tensor&, const Tensor&)>
-        consume) const {
-  if (graphs.empty()) return;
-  std::lock_guard<std::mutex> lock(infer_mutex_);
-  const std::size_t G = graphs.size();
-  const std::size_t num_shards =
-      (G + kInferenceShardGraphs - 1) / kInferenceShardGraphs;
-  if (infer_shards_.size() < num_shards) infer_shards_.resize(num_shards);
-
-  auto run_shard = [&](std::int64_t s) {
-    // Arm the tape switch on whichever thread runs this shard: forward
-    // records no nodes, touches no grad buffers, builds no backward scratch.
-    tensor::InferenceGuard guard;
-    const std::size_t g0 =
-        static_cast<std::size_t>(s) * kInferenceShardGraphs;
-    const std::size_t g1 = std::min(G, g0 + kInferenceShardGraphs);
-    InferenceShard& shard = infer_shards_[s];
-    shard.chunk.clear();
-    for (std::size_t g = g0; g < g1; ++g) shard.chunk.push_back(graphs[g]);
-    // Shards are small; build serially and spend workers on whole shards.
-    make_batch_into(shard.batch, shard.chunk, /*num_threads=*/1);
-    Tensor embeddings;
-    Tensor logits = forward(stack_, shard.batch, nullptr,
-                            want_embeddings ? &embeddings : nullptr);
-    consume(g0, logits, embeddings);
-  };
-
-  // Per-graph outputs never depend on which other graphs share a batch
-  // (message passing stays inside a graph, pooling is per segment, and
-  // every kernel's reduction order is per output element), so the sharded
-  // results are bit-identical to one full-batch forward — and to each
-  // other for every thread count, since shards partition by index.
-  if (num_shards == 1)
-    run_shard(0);
-  else
-    support::ThreadPool::global().parallel_for(
-        0, static_cast<std::int64_t>(num_shards), config_.num_threads,
-        run_shard);
-}
-
-void StaticModel::predict_into(
-    const std::vector<const graph::ProgramGraph*>& graphs,
-    std::vector<int>& out) const {
-  out.resize(graphs.size());
-  const int L = config_.num_labels;
-  forward_shards(
-      graphs, /*want_embeddings=*/false,
-      [&](std::size_t g0, const Tensor& logits, const Tensor&) {
-        for (int i = 0; i < logits.rows(); ++i)
-          out[g0 + static_cast<std::size_t>(i)] = tensor::argmax_row(
-              logits.data() + static_cast<std::int64_t>(i) * L, L);
-      });
-}
-
-void StaticModel::evaluate(
-    const std::vector<const graph::ProgramGraph*>& graphs, Evaluation& out,
-    bool want_embeddings) const {
-  const int L = config_.num_labels;
-  const int H = config_.hidden_dim;
-  const std::size_t G = graphs.size();
-  out.predictions.resize(G);
-  out.log_probs.resize(G * static_cast<std::size_t>(L));
-  out.embeddings.resize(want_embeddings ? G * static_cast<std::size_t>(H)
-                                        : 0);
-  forward_shards(
-      graphs, want_embeddings,
-      [&](std::size_t g0, const Tensor& logits, const Tensor& embeddings) {
-        // Still inside the shard's InferenceGuard: tape-free log_softmax.
-        Tensor logp = tensor::log_softmax(logits);
-        const std::int64_t rows = logits.rows();
-        std::copy(logp.data(), logp.data() + rows * L,
-                  out.log_probs.begin() + g0 * static_cast<std::size_t>(L));
-        for (std::int64_t i = 0; i < rows; ++i)
-          out.predictions[g0 + static_cast<std::size_t>(i)] =
-              tensor::argmax_row(logits.data() + i * L, L);
-        if (want_embeddings)
-          std::copy(embeddings.data(), embeddings.data() + rows * H,
-                    out.embeddings.begin() + g0 * static_cast<std::size_t>(H));
-      });
-}
-
-std::vector<std::vector<float>> StaticModel::predict_log_probs(
-    const std::vector<const graph::ProgramGraph*>& graphs) const {
-  const int L = config_.num_labels;
-  std::vector<std::vector<float>> out(graphs.size());
-  forward_shards(
-      graphs, /*want_embeddings=*/false,
-      [&](std::size_t g0, const Tensor& logits, const Tensor&) {
-        Tensor logp = tensor::log_softmax(logits);
-        for (int i = 0; i < logits.rows(); ++i)
-          out[g0 + static_cast<std::size_t>(i)].assign(
-              logp.data() + static_cast<std::int64_t>(i) * L,
-              logp.data() + static_cast<std::int64_t>(i + 1) * L);
-      });
-  return out;
-}
-
-std::vector<std::vector<float>> StaticModel::embed(
-    const std::vector<const graph::ProgramGraph*>& graphs) const {
-  const int H = config_.hidden_dim;
-  std::vector<std::vector<float>> out(graphs.size());
-  forward_shards(
-      graphs, /*want_embeddings=*/true,
-      [&](std::size_t g0, const Tensor&, const Tensor& embeddings) {
-        for (std::int64_t i = 0;
-             i < static_cast<std::int64_t>(embeddings.rows()); ++i)
-          out[g0 + static_cast<std::size_t>(i)].assign(
-              embeddings.data() + i * H, embeddings.data() + (i + 1) * H);
-      });
-  return out;
 }
 
 }  // namespace irgnn::gnn

@@ -21,26 +21,23 @@
 // storage through the arena, and the gradient reduction runs 8-wide over
 // the cached handles.
 //
-// Inference is a separate fast path: predict / predict_log_probs / embed /
-// evaluate run tape-free under tensor::InferenceGuard (no autograd nodes,
-// no gradient buffers), shard the graph set in fixed 16-graph chunks across
-// the shared pool against a persistent per-model context of pooled
-// GraphBatch scratch, and concatenate per-shard results in shard order.
-// Results are bit-identical to a serial full-batch forward for every thread
-// count, and a warm query into caller-reused storage performs zero heap
-// allocations.
+// Inference is a separate fast path: predict / predict_into / evaluate come
+// from the shared InferenceModel driver (gnn/inference_model.h), which shards
+// the graph set in fixed 16-graph chunks and runs this model's forward
+// tape-free under tensor::InferenceGuard (no autograd nodes, no gradient
+// buffers). Results are bit-identical to a serial full-batch forward for
+// every thread count, and a warm query into caller-reused storage performs
+// zero heap allocations.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "gnn/graph_batch.h"
 #include "gnn/inference_model.h"
 #include "gnn/modules.h"
 #include "graph/program_graph.h"
-#include "support/inline_function.h"
 #include "support/status.h"
 #include "tensor/optimizer.h"
 
@@ -58,11 +55,11 @@ struct ModelConfig {
   int epochs = 60;
   int batch_size = 32;
   std::uint64_t seed = 0x5EED;
-  /// Max threads for this model's shard dispatch and batch assembly (<= 0:
-  /// every worker of the global pool). The tensor kernels inside read the
-  /// process-global tensor::set_kernel_parallelism cap instead — set both
-  /// to bound total fan-out (core::run_experiment does). Results are
-  /// bit-identical for every value of either knob.
+  /// Max threads for this model's training and inference shard dispatch
+  /// (<= 0: every worker of the global pool). The tensor kernels inside
+  /// read the process-global tensor::set_kernel_parallelism cap instead —
+  /// set both to bound total fan-out (core::run_experiment does). Results
+  /// are bit-identical for every value of either knob.
   int num_threads = 0;
 };
 
@@ -79,42 +76,7 @@ class StaticModel : public InferenceModel {
   TrainStats train(const std::vector<const graph::ProgramGraph*>& graphs,
                    const std::vector<int>& labels);
 
-  // --- Inference fast path --------------------------------------------------
-  // Every query below runs tape-free (tensor::InferenceGuard): forward
-  // records no autograd nodes and touches no gradient buffers. Graph sets
-  // shard across the shared ThreadPool in fixed-size index chunks against a
-  // persistent per-model context (pooled GraphBatch scratch reused via
-  // make_batch_into), and per-shard results concatenate in shard order —
-  // so results are bit-identical to a serial full-batch forward for every
-  // thread count, and a warm call into caller-reused output storage
-  // performs zero heap allocations (tests/arena_test.cpp enforces it).
-  // Queries are serialized per model by an internal lock; distinct models
-  // (e.g. one per CV fold) run concurrently.
-
-  /// predict() into caller-owned storage (resized to the graph count). The
-  /// allocation-free form for hot query loops.
-  void predict_into(const std::vector<const graph::ProgramGraph*>& graphs,
-                    std::vector<int>& out) const override;
-
-  /// Predictions + log-probabilities (+ graph embeddings when requested)
-  /// from one batch build and one forward per shard. The allocation-free
-  /// workhorse behind predict_log_probs()/embed() and the experiment's
-  /// evaluation path.
-  void evaluate(const std::vector<const graph::ProgramGraph*>& graphs,
-                Evaluation& out, bool want_embeddings = false) const override;
-
-  /// Per-graph log-probabilities [G, num_labels] (row-major).
-  std::vector<std::vector<float>> predict_log_probs(
-      const std::vector<const graph::ProgramGraph*>& graphs) const;
-
-  /// Graph embedding vectors [G, hidden_dim] — the static feature vectors
-  /// the hybrid and flag models consume.
-  std::vector<std::vector<float>> embed(
-      const std::vector<const graph::ProgramGraph*>& graphs) const;
-
-  const ModelConfig& config() const { return config_; }
-  int num_labels() const override { return config_.num_labels; }
-  int hidden_dim() const override { return config_.hidden_dim; }
+  const ModelConfig& config() const override { return config_; }
   std::vector<tensor::Tensor> parameters() const;
 
   /// Post-training int8 quantization (gnn/quantize.cpp): calibrates
@@ -156,39 +118,13 @@ class StaticModel : public InferenceModel {
   static void refresh_replica(const std::vector<tensor::Tensor>& src,
                               std::vector<tensor::Tensor>& dst);
 
-  /// Graphs per inference shard. A fixed constant (never derived from the
-  /// thread count) so the shard partition — and with it every float — is
-  /// identical no matter how many workers run the shards.
-  static constexpr std::size_t kInferenceShardGraphs = 16;
-
-  /// One shard's persistent scratch: the graph chunk and its pooled batch,
-  /// reused across queries so a warm shard assembles allocation-free.
-  struct InferenceShard {
-    std::vector<const graph::ProgramGraph*> chunk;
-    GraphBatch batch;
-  };
-
-  /// Shards `graphs` in fixed chunks across the pool; each shard builds its
-  /// batch into persistent scratch and runs one tape-free forward, then
-  /// `consume(first_graph_index, logits, embeddings)` fires per shard
-  /// (embeddings is undefined unless want_embeddings). consume runs
-  /// concurrently for distinct shards and must only write state owned by
-  /// its shard's graph indices; it executes under the shard's
-  /// InferenceGuard, so tensor ops inside stay tape-free too.
-  void forward_shards(
-      const std::vector<const graph::ProgramGraph*>& graphs,
-      bool want_embeddings,
-      support::FunctionRef<void(std::size_t, const tensor::Tensor&,
-                                const tensor::Tensor&)>
-          consume) const;
+  /// The inference driver's forward: the float stack, no dropout.
+  tensor::Tensor forward(const GraphBatch& batch, InferenceShard& shard,
+                         tensor::Tensor* embeddings) const override;
 
   ModelConfig config_;
   mutable Rng rng_;
   Stack stack_;
-  /// Persistent inference context; the mutex serializes queries on one
-  /// model (predict is const and models are queried from parallel folds).
-  mutable std::mutex infer_mutex_;
-  mutable std::vector<InferenceShard> infer_shards_;
 };
 
 }  // namespace irgnn::gnn

@@ -18,10 +18,6 @@ using tensor::Tensor;
 
 namespace {
 
-/// Graphs per inference/calibration shard — the same fixed constant as
-/// StaticModel's partition, never derived from the thread count.
-constexpr std::size_t kShardGraphs = 16;
-
 /// Round-half-up via floor, independent of the FPU rounding mode (lrintf
 /// would follow it), so quantized codes are identical on every build. The
 /// clamp happens in the float domain before the int cast — an activation far
@@ -154,7 +150,7 @@ Tensor clone_const(const Tensor& p) {
 
 // --- QuantizedModel inference -----------------------------------------------
 
-Tensor QuantizedModel::forward(const GraphBatch& batch, Scratch& s,
+Tensor QuantizedModel::forward(const GraphBatch& batch, InferenceShard& s,
                                Tensor* embeddings) const {
   const int dim = config_.hidden_dim;
   Tensor h0 = embedding_.forward(batch.features);
@@ -196,80 +192,6 @@ Tensor QuantizedModel::forward(const GraphBatch& batch, Scratch& s,
   return qmatmul(s.aq.data(), g, head_, /*relu=*/false, s.acc);
 }
 
-void QuantizedModel::forward_shards(
-    const std::vector<const graph::ProgramGraph*>& graphs, bool want_embeddings,
-    support::FunctionRef<void(std::size_t, const Tensor&, const Tensor&)>
-        consume) const {
-  if (graphs.empty()) return;
-  std::lock_guard<std::mutex> lock(infer_mutex_);
-  const std::size_t G = graphs.size();
-  const std::size_t num_shards = (G + kShardGraphs - 1) / kShardGraphs;
-  if (infer_shards_.size() < num_shards) infer_shards_.resize(num_shards);
-
-  auto run_shard = [&](std::int64_t s) {
-    tensor::InferenceGuard guard;
-    const std::size_t g0 = static_cast<std::size_t>(s) * kShardGraphs;
-    const std::size_t g1 = std::min(G, g0 + kShardGraphs);
-    InferenceShard& shard = infer_shards_[s];
-    shard.chunk.clear();
-    for (std::size_t g = g0; g < g1; ++g) shard.chunk.push_back(graphs[g]);
-    make_batch_into(shard.batch, shard.chunk, /*num_threads=*/1);
-    Tensor embeddings;
-    Tensor logits = forward(shard.batch, shard.scratch,
-                            want_embeddings ? &embeddings : nullptr);
-    consume(g0, logits, embeddings);
-  };
-
-  // Shards partition by index and int8 accumulation is exact integer math,
-  // so the sharded results are bit-identical to a serial full-batch forward
-  // for every thread count (same argument as StaticModel::forward_shards,
-  // with the float-kernel fixed-order clause replaced by exactness).
-  if (num_shards == 1)
-    run_shard(0);
-  else
-    support::ThreadPool::global().parallel_for(
-        0, static_cast<std::int64_t>(num_shards), config_.num_threads,
-        run_shard);
-}
-
-void QuantizedModel::predict_into(
-    const std::vector<const graph::ProgramGraph*>& graphs,
-    std::vector<int>& out) const {
-  out.resize(graphs.size());
-  const int L = config_.num_labels;
-  forward_shards(graphs, /*want_embeddings=*/false,
-                 [&](std::size_t g0, const Tensor& logits, const Tensor&) {
-                   for (int i = 0; i < logits.rows(); ++i)
-                     out[g0 + static_cast<std::size_t>(i)] = tensor::argmax_row(
-                         logits.data() + static_cast<std::int64_t>(i) * L, L);
-                 });
-}
-
-void QuantizedModel::evaluate(
-    const std::vector<const graph::ProgramGraph*>& graphs, Evaluation& out,
-    bool want_embeddings) const {
-  const int L = config_.num_labels;
-  const int H = config_.hidden_dim;
-  const std::size_t G = graphs.size();
-  out.predictions.resize(G);
-  out.log_probs.resize(G * static_cast<std::size_t>(L));
-  out.embeddings.resize(want_embeddings ? G * static_cast<std::size_t>(H) : 0);
-  forward_shards(
-      graphs, want_embeddings,
-      [&](std::size_t g0, const Tensor& logits, const Tensor& embeddings) {
-        Tensor logp = tensor::log_softmax(logits);
-        const std::int64_t rows = logits.rows();
-        std::copy(logp.data(), logp.data() + rows * L,
-                  out.log_probs.begin() + g0 * static_cast<std::size_t>(L));
-        for (std::int64_t i = 0; i < rows; ++i)
-          out.predictions[g0 + static_cast<std::size_t>(i)] =
-              tensor::argmax_row(logits.data() + i * L, L);
-        if (want_embeddings)
-          std::copy(embeddings.data(), embeddings.data() + rows * H,
-                    out.embeddings.begin() + g0 * static_cast<std::size_t>(H));
-      });
-}
-
 std::vector<float> QuantizedModel::scales() const {
   std::vector<float> out;
   for (const QuantizedLayer& layer : layers_) out.push_back(layer.act.scale);
@@ -309,7 +231,7 @@ support::StatusOr<std::shared_ptr<const QuantizedModel>> StaticModel::quantize(
   const std::size_t L = stack_.layers.size();
   const std::size_t sites = L + 2;
   const std::size_t G = calibration.size();
-  const std::size_t num_shards = (G + kShardGraphs - 1) / kShardGraphs;
+  const std::size_t num_shards = (G + kGraphsPerShard - 1) / kGraphsPerShard;
   std::vector<std::vector<Range>> shard_ranges(num_shards,
                                                std::vector<Range>(sites));
 
@@ -317,12 +239,12 @@ support::StatusOr<std::shared_ptr<const QuantizedModel>> StaticModel::quantize(
       0, static_cast<std::int64_t>(num_shards), config_.num_threads,
       [&](std::int64_t s) {
         tensor::InferenceGuard guard;
-        const std::size_t g0 = static_cast<std::size_t>(s) * kShardGraphs;
-        const std::size_t g1 = std::min(G, g0 + kShardGraphs);
+        const std::size_t g0 = static_cast<std::size_t>(s) * kGraphsPerShard;
+        const std::size_t g1 = std::min(G, g0 + kGraphsPerShard);
         std::vector<const graph::ProgramGraph*> chunk(
             calibration.begin() + g0, calibration.begin() + g1);
         GraphBatch batch;
-        make_batch_into(batch, chunk, /*num_threads=*/1);
+        make_batch_into(batch, chunk);
         std::vector<Range>& ranges = shard_ranges[s];
         Tensor h0 = stack_.embedding.forward(batch.features);
         Tensor h = h0;

@@ -35,13 +35,12 @@
 // tests/determinism_test.cpp.
 //
 // The warm query path allocates nothing: packed weights, scales and
-// epilogue tables are owned by the model (PoolVector), and per-shard
-// quantized-activation / int32-accumulator scratch persists across queries
-// exactly like StaticModel's inference shards.
+// epilogue tables are owned by the model (PoolVector), and the shared
+// InferenceModel driver keeps the per-shard quantized-activation /
+// int32-accumulator scratch alive across queries.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "gnn/graph_batch.h"
@@ -79,14 +78,7 @@ struct QuantizedLinear {
 /// published quantized version.
 class QuantizedModel : public InferenceModel {
  public:
-  void predict_into(const std::vector<const graph::ProgramGraph*>& graphs,
-                    std::vector<int>& out) const override;
-  void evaluate(const std::vector<const graph::ProgramGraph*>& graphs,
-                Evaluation& out, bool want_embeddings = false) const override;
-  int num_labels() const override { return config_.num_labels; }
-  int hidden_dim() const override { return config_.hidden_dim; }
-
-  const ModelConfig& config() const { return config_; }
+  const ModelConfig& config() const override { return config_; }
 
   /// Every activation scale in a fixed order (layer 0..L-1 inputs, FC
   /// input, head input) followed by every per-channel weight scale in stack
@@ -109,31 +101,10 @@ class QuantizedModel : public InferenceModel {
     std::vector<QuantizedLinear> relations;
   };
 
-  /// Per-shard int8 scratch, pooled and persistent across queries.
-  struct Scratch {
-    support::PoolVector<std::uint8_t> aq;        // quantized activations
-    support::PoolVector<std::uint8_t> gathered;  // gathered u8 message rows
-    support::PoolVector<std::int32_t> acc;       // widened accumulators
-  };
-
-  struct InferenceShard {
-    std::vector<const graph::ProgramGraph*> chunk;
-    GraphBatch batch;
-    Scratch scratch;
-  };
-
-  tensor::Tensor forward(const GraphBatch& batch, Scratch& scratch,
-                         tensor::Tensor* embeddings) const;
-
-  /// Same sharded dispatch contract as StaticModel::forward_shards: fixed
-  /// 16-graph chunks, persistent per-shard scratch, consume(first_graph,
-  /// logits, embeddings) under the shard's InferenceGuard.
-  void forward_shards(
-      const std::vector<const graph::ProgramGraph*>& graphs,
-      bool want_embeddings,
-      support::FunctionRef<void(std::size_t, const tensor::Tensor&,
-                                const tensor::Tensor&)>
-          consume) const;
+  /// The inference driver's forward: every matmul through the int8
+  /// kernels, using the shard's aq / gathered / acc scratch.
+  tensor::Tensor forward(const GraphBatch& batch, InferenceShard& shard,
+                         tensor::Tensor* embeddings) const override;
 
   ModelConfig config_;
   Embedding embedding_;  // float, deep-copied from the source model
@@ -143,9 +114,6 @@ class QuantizedModel : public InferenceModel {
   QuantizedLinear fc_;
   ActQuant head_act_;
   QuantizedLinear head_;
-
-  mutable std::mutex infer_mutex_;
-  mutable std::vector<InferenceShard> infer_shards_;
 };
 
 }  // namespace irgnn::gnn

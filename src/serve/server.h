@@ -8,7 +8,7 @@
 // Source::{Cache,Batch,Shed}, queue/compute micro-timings). A serving loop
 // drains the queue into dynamic micro-batches — flushed when `max_batch`
 // queries are waiting or the oldest has waited `max_wait_us` — and answers
-// a whole batch with one StaticModel::predict_into call. Four properties
+// a whole batch with one InferenceModel::predict_into call. Four properties
 // define the design:
 //
 //   Exception-free query path. submit() returns StatusOr<Future>; every

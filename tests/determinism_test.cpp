@@ -57,7 +57,10 @@ TrainOutcome train_with_threads(int num_threads) {
   TrainOutcome out;
   out.epoch_loss = stats.epoch_loss;
   out.predictions = model.predict(graphs);
-  out.embedding = model.embed(graphs)[0];
+  gnn::Evaluation eval;
+  model.evaluate(graphs, eval, /*want_embeddings=*/true);
+  out.embedding.assign(eval.embeddings.begin(),
+                       eval.embeddings.begin() + cfg.hidden_dim);
   tensor::set_kernel_parallelism(0);
   return out;
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "gnn/graph_batch.h"
 #include "gnn/model.h"
@@ -24,10 +26,23 @@ graph::ProgramGraph tiny_graph(int feature) {
   return g;
 }
 
+GraphBatch batch_of(const std::vector<const graph::ProgramGraph*>& graphs) {
+  GraphBatch batch;
+  make_batch_into(batch, graphs);
+  return batch;
+}
+
+/// Row `g` of a flat row-major [G, width] buffer.
+std::vector<float> row(const std::vector<float>& flat, std::size_t g,
+                       int width) {
+  auto first = flat.begin() + static_cast<std::ptrdiff_t>(g * width);
+  return std::vector<float>(first, first + width);
+}
+
 TEST(GraphBatchTest, OffsetsAndSegments) {
   graph::ProgramGraph a = tiny_graph(1);
   graph::ProgramGraph b = tiny_graph(2);
-  GraphBatch batch = make_batch({&a, &b});
+  GraphBatch batch = batch_of({&a, &b});
   EXPECT_EQ(batch.num_nodes(), 6);
   EXPECT_EQ(batch.num_graphs, 2);
   EXPECT_EQ(batch.segment[0], 0);
@@ -46,7 +61,7 @@ TEST(GraphBatchTest, RgcnNormalizationCoefficients) {
   // inverse per-relation in-degree (1.0 here). Add a second data edge into
   // node 1 to get 0.5.
   g.edges.push_back({0, 1, graph::EdgeKind::Data, 1});
-  GraphBatch batch = make_batch({&g});
+  GraphBatch batch = batch_of({&g});
   const RelationEdges& data =
       batch.relations[static_cast<int>(graph::EdgeKind::Data)];
   for (std::size_t e = 0; e < data.dst.size(); ++e) {
@@ -55,7 +70,7 @@ TEST(GraphBatchTest, RgcnNormalizationCoefficients) {
 }
 
 TEST(GraphBatchTest, EmptyInput) {
-  GraphBatch batch = make_batch({});
+  GraphBatch batch = batch_of({});
   EXPECT_EQ(batch.num_graphs, 0);
   EXPECT_EQ(batch.num_nodes(), 0);
   ASSERT_EQ(batch.relations.size(),
@@ -69,7 +84,7 @@ TEST(GraphBatchTest, EmptyInput) {
 
 TEST(GraphBatchTest, SingleGraphKeepsLocalIndices) {
   graph::ProgramGraph g = tiny_graph(5);
-  GraphBatch batch = make_batch({&g});
+  GraphBatch batch = batch_of({&g});
   EXPECT_EQ(batch.num_graphs, 1);
   EXPECT_EQ(batch.num_nodes(), 3);
   for (int s : batch.segment) EXPECT_EQ(s, 0);
@@ -84,7 +99,7 @@ TEST(GraphBatchTest, NodeWithoutInEdgesGetsNoCoefficient) {
   // Node 0 of tiny_graph has out-edges only; every coefficient must belong
   // to a node with in-degree >= 1 and equal its inverse in-degree exactly.
   graph::ProgramGraph g = tiny_graph(1);
-  GraphBatch batch = make_batch({&g});
+  GraphBatch batch = batch_of({&g});
   for (const RelationEdges& rel : batch.relations) {
     ASSERT_EQ(rel.coeff.size(), rel.dst.size());
     std::vector<int> in_degree(batch.num_nodes(), 0);
@@ -94,31 +109,11 @@ TEST(GraphBatchTest, NodeWithoutInEdgesGetsNoCoefficient) {
   }
 }
 
-TEST(GraphBatchTest, ParallelAssemblyMatchesSerial) {
-  // Enough graphs to cross the parallel-assembly threshold; the batch must
-  // equal the serial concatenation element for element.
-  std::vector<graph::ProgramGraph> owned;
-  for (int i = 0; i < 24; ++i) owned.push_back(tiny_graph(i % 7));
-  std::vector<const graph::ProgramGraph*> graphs;
-  for (const auto& g : owned) graphs.push_back(&g);
-
-  GraphBatch serial = make_batch(graphs, /*num_threads=*/1);
-  GraphBatch parallel = make_batch(graphs, /*num_threads=*/8);
-  EXPECT_EQ(serial.features, parallel.features);
-  EXPECT_EQ(serial.segment, parallel.segment);
-  ASSERT_EQ(serial.relations.size(), parallel.relations.size());
-  for (std::size_t r = 0; r < serial.relations.size(); ++r) {
-    EXPECT_EQ(serial.relations[r].src, parallel.relations[r].src);
-    EXPECT_EQ(serial.relations[r].dst, parallel.relations[r].dst);
-    EXPECT_EQ(serial.relations[r].coeff, parallel.relations[r].coeff);
-  }
-}
-
 TEST(RgcnLayerTest, MessagePassingChangesNodeStates) {
   Rng rng(5);
   RGCNLayer layer(8, graph::kNumEdgeKinds, rng);
   graph::ProgramGraph g = tiny_graph(1);
-  GraphBatch batch = make_batch({&g});
+  GraphBatch batch = batch_of({&g});
   tensor::Tensor h = tensor::Tensor::xavier({3, 8}, rng);
   tensor::Tensor out = layer.forward(h, batch.relations);
   EXPECT_EQ(out.rows(), 3);
@@ -193,9 +188,11 @@ TEST(StaticModelTest, DeterministicForSeed) {
   cfg.seed = 77;
   StaticModel a(cfg);
   StaticModel b(cfg);
-  auto ea = a.embed({&pg});
-  auto eb = b.embed({&pg});
-  EXPECT_EQ(ea[0], eb[0]);
+  Evaluation ea;
+  Evaluation eb;
+  a.evaluate({&pg}, ea, /*want_embeddings=*/true);
+  b.evaluate({&pg}, eb, /*want_embeddings=*/true);
+  EXPECT_EQ(ea.embeddings, eb.embeddings);
 }
 
 TEST(StaticModelTest, BatchingInvariance) {
@@ -210,10 +207,12 @@ TEST(StaticModelTest, BatchingInvariance) {
   cfg.num_labels = 5;
   cfg.hidden_dim = 16;
   StaticModel model(cfg);
-  auto solo = model.predict_log_probs({&g0});
-  auto batched = model.predict_log_probs({&g0, &g1});
+  Evaluation solo;
+  Evaluation batched;
+  model.evaluate({&g0}, solo);
+  model.evaluate({&g0, &g1}, batched);
   for (int j = 0; j < 5; ++j)
-    EXPECT_NEAR(solo[0][j], batched[0][j], 1e-4f);
+    EXPECT_NEAR(solo.log_probs[j], batched.log_probs[j], 1e-4f);
 }
 
 TEST(StaticModelTest, EmbeddingsHaveConfiguredWidth) {
@@ -225,8 +224,9 @@ TEST(StaticModelTest, EmbeddingsHaveConfiguredWidth) {
   cfg.num_labels = 13;
   cfg.hidden_dim = 24;
   StaticModel model(cfg);
-  auto embedding = model.embed({&pg});
-  EXPECT_EQ(embedding[0].size(), 24u);
+  Evaluation eval;
+  model.evaluate({&pg}, eval, /*want_embeddings=*/true);
+  EXPECT_EQ(eval.embeddings.size(), 24u);
 }
 
 TEST(StaticModelTest, ShardedInferenceBitIdenticalToPerGraphQueries) {
@@ -254,20 +254,24 @@ TEST(StaticModelTest, ShardedInferenceBitIdenticalToPerGraphQueries) {
   cfg.num_threads = 8;
   StaticModel parallel(cfg);
 
-  auto batched = serial.predict_log_probs(graphs);
-  auto batched_mt = parallel.predict_log_probs(graphs);
-  ASSERT_EQ(batched.size(), graphs.size());
+  Evaluation batched;
+  Evaluation batched_mt;
+  serial.evaluate(graphs, batched);
+  parallel.evaluate(graphs, batched_mt);
+  ASSERT_EQ(batched.log_probs.size(), graphs.size() * 3);
+  Evaluation solo;
   for (std::size_t g = 0; g < graphs.size(); ++g) {
-    auto solo = serial.predict_log_probs({graphs[g]});
-    EXPECT_EQ(batched[g], solo[0]) << "graph " << g;
-    EXPECT_EQ(batched[g], batched_mt[g]) << "graph " << g;
+    serial.evaluate({graphs[g]}, solo);
+    EXPECT_EQ(row(batched.log_probs, g, 3), solo.log_probs) << "graph " << g;
+    EXPECT_EQ(row(batched.log_probs, g, 3), row(batched_mt.log_probs, g, 3))
+        << "graph " << g;
   }
   EXPECT_EQ(serial.predict(graphs), parallel.predict(graphs));
 }
 
 TEST(StaticModelTest, EvaluateMatchesSeparateQueries) {
   // evaluate() derives predictions, log-probs and embeddings from one batch
-  // build + forward per shard; each slice must equal the dedicated query.
+  // build + forward per shard; its predictions must equal predict()'s.
   std::vector<graph::ProgramGraph> owned;
   for (int i = 0; i < 21; ++i) owned.push_back(tiny_graph(i % 5));
   std::vector<const graph::ProgramGraph*> graphs;
@@ -287,16 +291,6 @@ TEST(StaticModelTest, EvaluateMatchesSeparateQueries) {
   ASSERT_EQ(eval.embeddings.size(), graphs.size() * 12);
 
   EXPECT_EQ(eval.predictions, model.predict(graphs));
-  auto log_probs = model.predict_log_probs(graphs);
-  auto embeddings = model.embed(graphs);
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    for (int j = 0; j < 4; ++j)
-      EXPECT_EQ(eval.log_probs[g * 4 + j], log_probs[g][j])
-          << "log_prob (" << g << "," << j << ")";
-    for (int j = 0; j < 12; ++j)
-      EXPECT_EQ(eval.embeddings[g * 12 + j], embeddings[g][j])
-          << "embedding (" << g << "," << j << ")";
-  }
   // Without embeddings the buffer empties rather than keeping stale data.
   model.evaluate(graphs, eval, /*want_embeddings=*/false);
   EXPECT_TRUE(eval.embeddings.empty());

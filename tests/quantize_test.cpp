@@ -7,8 +7,11 @@
 //     the float model's, and the two agree on the vast majority of graphs
 //     (this test IS the CI gate: the `quantize` job runs it under Release
 //     and ASan/UBSan and fails the build on regression).
-//   * A warm quantized predict_into performs zero heap allocations — same
-//     counting-operator-new harness as tests/arena_test.cpp.
+//   * A warm quantized predict_into / evaluate performs zero heap
+//     allocations — same counting-operator-new harness as
+//     tests/arena_test.cpp.
+//   * Committed digests pin the float and int8 outputs of a fixed untrained
+//     model bit for bit, so a refactor of either forward path cannot drift.
 //   * A Router serves the float and int8 versions side by side: answers
 //     are bitwise the named model's own serial predictions, per-model
 //     cache accounting conserves (hits + misses + coalesced == queries),
@@ -17,6 +20,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <string>
@@ -30,6 +34,7 @@
 #include "graph/program_graph.h"
 #include "serve/router.h"
 #include "support/arena.h"
+#include "support/rng.h"
 #include "tensor/tensor.h"
 #include "workloads/suite.h"
 
@@ -191,6 +196,58 @@ TEST(QuantizeTest, EvaluateMatchesPredictIntoAndEmitsFiniteEmbeddings) {
   for (float v : eval.log_probs) ASSERT_LE(v, 0.0f);
 }
 
+// --- Committed output digests -----------------------------------------------
+
+/// Folds `values` into `h` by bit pattern, then the count.
+template <typename T>
+std::uint64_t digest(std::uint64_t h, const std::vector<T>& values) {
+  static_assert(sizeof(T) == sizeof(std::uint32_t), "32-bit values only");
+  for (const T& v : values) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    h = hash_combine64(h, bits);
+  }
+  return hash_combine64(h, values.size());
+}
+
+// Recorded before the float and int8 models shared one inference driver;
+// any change to either forward path's output bits moves them.
+constexpr std::uint64_t kFloatDigest = 0x59f549d4fa7af9d4ull;
+constexpr std::uint64_t kInt8Digest = 0xc402ae0566d8ddd8ull;
+constexpr std::uint64_t kQuantParamsDigest = 0xaefbf07530344c4eull;
+
+TEST(QuantizeTest, OutputDigestsMatchCommittedValues) {
+  const auto base = graph_ptrs();
+  // 40 pointers: three 16-graph shards, the last one partial.
+  std::vector<const graph::ProgramGraph*> ptrs;
+  for (std::size_t i = 0; i < 40; ++i) ptrs.push_back(base[i % base.size()]);
+
+  // Untrained on purpose: training runs log_softmax, whose exp/log come from
+  // libm and may differ in the last bit between C libraries. Init, forward
+  // and calibration use only correctly rounded operations. log_probs are
+  // left out of the digests for the same reason. Seed 3 splits the 40
+  // predictions 10/30 over two labels, so the digests see the argmax too.
+  gnn::StaticModel model(small_config(3));
+  auto quantized = model.quantize(ptrs);
+  ASSERT_TRUE(quantized.ok()) << quantized.status().message();
+
+  gnn::Evaluation f;
+  model.evaluate(ptrs, f, /*want_embeddings=*/true);
+  gnn::Evaluation q;
+  quantized.value()->evaluate(ptrs, q, /*want_embeddings=*/true);
+
+  const std::uint64_t float_digest =
+      digest(digest(0, f.predictions), f.embeddings);
+  const std::uint64_t int8_digest =
+      digest(digest(0, q.predictions), q.embeddings);
+  const std::uint64_t params_digest = digest(
+      digest(0, quantized.value()->scales()), quantized.value()->zero_points());
+  EXPECT_EQ(float_digest, kFloatDigest) << std::hex << "0x" << float_digest;
+  EXPECT_EQ(int8_digest, kInt8Digest) << std::hex << "0x" << int8_digest;
+  EXPECT_EQ(params_digest, kQuantParamsDigest)
+      << std::hex << "0x" << params_digest;
+}
+
 // --- Zero allocations on the warm quantized path ----------------------------
 
 TEST(QuantizeTest, WarmQuantizedPredictNeverTouchesHeap) {
@@ -207,7 +264,7 @@ TEST(QuantizeTest, WarmQuantizedPredictNeverTouchesHeap) {
   gnn::Evaluation eval;
   // Warm-up: first call sizes every per-shard scratch buffer.
   p.quantized->predict_into(ptrs, preds);
-  p.quantized->evaluate(ptrs, eval, /*want_embeddings=*/false);
+  p.quantized->evaluate(ptrs, eval, /*want_embeddings=*/true);
   const std::vector<int> expected = preds;
 
   const auto pool_before = support::BufferPool::global().stats();
@@ -217,13 +274,15 @@ TEST(QuantizeTest, WarmQuantizedPredictNeverTouchesHeap) {
   for (int rep = 0; rep < 10; ++rep) {
     p.quantized->predict_into(ptrs, preds);
     ASSERT_EQ(preds, expected);
+    p.quantized->evaluate(ptrs, eval, /*want_embeddings=*/true);
+    ASSERT_EQ(eval.predictions, expected);
   }
 
   const std::uint64_t heap_delta =
       g_heap_allocations.load(std::memory_order_relaxed) - heap_before;
   const auto pool_after = support::BufferPool::global().stats();
   EXPECT_EQ(heap_delta, 0u)
-      << "warm quantized predict_into touched the heap " << heap_delta
+      << "warm quantized predict_into/evaluate touched the heap " << heap_delta
       << " times";
   EXPECT_EQ(pool_after.malloc_calls, pool_before.malloc_calls)
       << "warm quantized predict grew the buffer pool";
