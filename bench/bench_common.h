@@ -90,7 +90,8 @@ inline gnn::ModelConfig model_config_from(const ArgParser& parser,
   return cfg;
 }
 
-/// The benchmark-suite region graphs — the traffic both binaries speak.
+/// The benchmark-suite region graphs — the traffic the serving benches
+/// (serve_throughput, net_loadgen, fig8_cross_arch) speak.
 inline std::vector<graph::ProgramGraph> suite_graphs() {
   std::vector<graph::ProgramGraph> owned;
   for (const auto& spec : workloads::benchmark_suite()) {

@@ -6,8 +6,8 @@
 //
 // The second half is the deployment shape behind the figure: one
 // serve::Router front door holding one suite-trained model per
-// architecture (per-architecture registry slots), with every region routed
-// by Request::model — the "pick the right model per target machine"
+// architecture (published under the machine's name), with every region
+// routed by Request::model — the "pick the right model per target machine"
 // serving the paper's cross-machine story needs. Routed answers are gated
 // bit-identical to each model's serial predict, and an unknown
 // architecture must come back ModelNotFound; violations are a nonzero
@@ -16,7 +16,6 @@
 
 #include "bench/bench_common.h"
 #include "gnn/model.h"
-#include "graph/graph_builder.h"
 #include "serve/router.h"
 #include "support/rng.h"
 #include "workloads/suite.h"
@@ -84,12 +83,8 @@ int main(int argc, char** argv) {
   bench::finish(table, parser);
 
   // --- One front door, one model per architecture ---------------------------
-  std::vector<graph::ProgramGraph> owned;
+  const std::vector<graph::ProgramGraph> owned = bench::suite_graphs();
   std::vector<const graph::ProgramGraph*> graphs;
-  for (const auto& spec : workloads::benchmark_suite()) {
-    auto module = workloads::build_region_module(spec);
-    owned.push_back(graph::build_graph(*module));
-  }
   for (const auto& g : owned) graphs.push_back(&g);
 
   int failures = 0;

@@ -2,7 +2,7 @@
 // at 1 and 4 client threads, an open-loop burst showing micro-batch
 // amortization, a cache hit-vs-miss section, a flash-crowd section gating
 // in-flight coalescing, a Zipf-distributed fingerprint workload, the buffer
-// arena's high-water mark + idle-trim behaviour, and (--overload) an
+// arena's outstanding bytes and high-water mark, and (--overload) an
 // admission-control section that slams a bounded queue with a burst and
 // gates the shedding contract.
 // Results also land in a machine-readable JSON file (--json, uploaded as a
@@ -19,7 +19,6 @@
 //     one model forward (everyone else coalesces or hits),
 //   - coalescing conservation: cache hits + misses + coalesced == queries,
 //     on the flash-crowd and Zipf sections,
-//   - the idle grace period must trigger an arena trim,
 //   - under --overload: the bounded queue actually sheds (Overloaded within
 //     the bound, conservation of answered+shed+rejected), the admitted
 //     queue depth never exceeds max_queue, admitted answers stay
@@ -57,7 +56,6 @@
 #include "support/failpoint.h"
 #include "support/rng.h"
 #include "support/table.h"
-#include "workloads/suite.h"
 
 using namespace irgnn;
 using Clock = std::chrono::steady_clock;
@@ -154,11 +152,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (owned.empty())
-    for (const auto& spec : workloads::benchmark_suite()) {
-      auto module = workloads::build_region_module(spec);
-      owned.push_back(graph::build_graph(*module));
-    }
+  if (owned.empty()) owned = bench::suite_graphs();
   for (const auto& g : owned) graphs.push_back(&g);
 
   gnn::ModelConfig cfg;
@@ -504,7 +498,7 @@ int main(int argc, char** argv) {
       if (!server.config().background_loop) {
         // A worker-less pool falls back to client-driven pumping; an async
         // burst with nobody waiting would never drain. Not a contract
-        // violation — report and skip, like the idle-trim gate.
+        // violation — report and skip.
         std::printf("\n(no background loop available: overload gate "
                     "skipped)\n");
         break;
@@ -851,37 +845,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Idle trim + arena high-water mark -----------------------------------
+  // --- Arena footprint -----------------------------------------------------
   {
-    serve::ServerConfig idle = server_config;
-    idle.idle_trim_us = 20000;  // 20 ms grace
-    serve::InferenceServer server(model, idle);
-    std::vector<serve::Response> responses;
-    server.predict_batch(graphs, responses);
-    // 10x the grace period: generous margin for a loaded CI worker.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    serve::ServerStats stats = server.stats();
     const support::BufferPool::Stats pool =
         support::BufferPool::global().stats();
-    std::printf("\n=== Arena (after %d ms idle with a %d us trim grace) "
-                "===\nidle trims %llu, pool trims %llu (released %s), "
-                "outstanding %s, high-water %s\n",
-                200, static_cast<int>(idle.idle_trim_us),
-                static_cast<unsigned long long>(stats.idle_trims),
-                static_cast<unsigned long long>(pool.trims),
-                fmt_bytes(pool.trimmed_bytes).c_str(),
+    std::printf("\n=== Arena ===\noutstanding %s, high-water %s\n",
                 fmt_bytes(pool.outstanding_bytes).c_str(),
                 fmt_bytes(pool.high_water_bytes).c_str());
-    if (!server.config().background_loop) {
-      // A worker-less pool (e.g. IRGNN_NUM_THREADS=1) silently falls back
-      // to client-driven pumping, where no loop exists to watch idleness —
-      // not a contract violation, so report instead of failing.
-      std::printf("(no background loop available: idle-trim gate skipped)\n");
-    } else if (stats.idle_trims == 0) {
-      ++failures;
-      std::printf("FAILED: the idle grace period did not trigger an arena "
-                  "trim\n");
-    }
   }
 
   // --- Machine-readable results (CI artifact) -------------------------------
@@ -943,7 +913,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nall serving contracts held (determinism, zero-alloc warm "
               "hits, 10x cache advantage, one-forward flash crowds, "
-              "coalescing conservation%s%s, idle trim)\n",
+              "coalescing conservation%s%s)\n",
               overload ? ", bounded-queue shedding" : "",
               faults_ran ? ", breaker containment" : "");
   return 0;

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
                "1.000"});
   top.print();
 
-  const sim::PerfCounters& counters = table.default_counters[row];
+  const sim::PerfCounters& counters = table.probe_counters[row][0];
   std::printf("\ncounters at the default configuration:\n"
               "  package power       %.1f W\n"
               "  L3 miss ratio       %.3f\n"

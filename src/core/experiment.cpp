@@ -87,6 +87,49 @@ std::vector<int> reduce_sequences(
   return chosen;
 }
 
+/// A decision tree over a GA-selected feature subset (Sec. III-D): the
+/// flag-prediction model and the hybrid router are both this, fit per fold
+/// on the training rows of (X, y). `salt` separates each use's GA seed.
+class SubsetTree {
+ public:
+  SubsetTree(const std::vector<std::vector<float>>& X,
+             const std::vector<int>& y, const std::vector<int>& rows,
+             const ExperimentOptions& options, std::uint64_t salt) {
+    std::vector<std::vector<float>> train_x;
+    std::vector<int> train_y;
+    for (int r : rows) {
+      train_x.push_back(X[r]);
+      train_y.push_back(y[r]);
+    }
+    const int num_features = static_cast<int>(train_x[0].size());
+    ml::GeneticSelectorOptions ga;
+    ga.population_size = options.ga_population;
+    ga.generations = options.ga_generations;
+    ga.subset_size = std::min(options.ga_subset, num_features);
+    ga.seed = hash_combine64(options.seed, salt);
+    subset_ = ml::select_features(
+                  num_features,
+                  ml::decision_tree_cv_fitness(train_x, train_y), ga)
+                  .best_subset;
+    for (auto& row : train_x) row = restrict_row(row);
+    tree_.fit(train_x, train_y);
+  }
+
+  int predict(const std::vector<float>& row) const {
+    return tree_.predict(restrict_row(row));
+  }
+
+ private:
+  std::vector<float> restrict_row(const std::vector<float>& row) const {
+    std::vector<float> out;
+    for (int fidx : subset_) out.push_back(row[fidx]);
+    return out;
+  }
+
+  std::vector<int> subset_;
+  ml::DecisionTree tree_;
+};
+
 }  // namespace
 
 ExperimentResult run_experiment(const sim::MachineDesc& machine,
@@ -349,32 +392,10 @@ ExperimentResult run_experiment(const sim::MachineDesc& machine,
     std::vector<double> fold_total(folds.size(), 0.0);
     ml::for_each_fold(folds.size(), options.num_threads, [&](std::size_t f) {
       const ml::Fold& fold = folds[f];
-      std::vector<std::vector<float>> train_x;
-      std::vector<int> train_y;
-      for (int r : fold.train_indices) {
-        train_x.push_back(X[r]);
-        train_y.push_back(best_seq_label[r]);
-      }
-      // GA feature-subset selection, then the final tree on the subset.
-      const int num_features = static_cast<int>(train_x[0].size());
-      ml::GeneticSelectorOptions ga;
-      ga.population_size = options.ga_population;
-      ga.generations = options.ga_generations;
-      ga.subset_size = std::min(options.ga_subset, num_features);
-      ga.seed = hash_combine64(options.seed, 0xF1A6);
-      auto selected = ml::select_features(
-          num_features, ml::decision_tree_cv_fitness(train_x, train_y), ga);
-      auto restrict_row = [&](const std::vector<float>& row) {
-        std::vector<float> out;
-        for (int fidx : selected.best_subset) out.push_back(row[fidx]);
-        return out;
-      };
-      std::vector<std::vector<float>> train_sub;
-      for (const auto& row : train_x) train_sub.push_back(restrict_row(row));
-      ml::DecisionTree tree;
-      tree.fit(train_sub, train_y);
+      const SubsetTree tree(X, best_seq_label, fold.train_indices, options,
+                            0xF1A6);
       for (int r : fold.validation_indices) {
-        int pred = tree.predict(restrict_row(X[r]));
+        int pred = tree.predict(X[r]);
         fold_total[f] += seq_speedup_matrix[r][seq_labels[pred]];
       }
     });
@@ -398,32 +419,10 @@ ExperimentResult run_experiment(const sim::MachineDesc& machine,
     std::vector<int> fold_correct(folds.size(), 0);
     ml::for_each_fold(folds.size(), options.num_threads, [&](std::size_t f) {
       const ml::Fold& fold = folds[f];
-      std::vector<std::vector<float>> train_x;
-      std::vector<int> train_y;
-      for (int r : fold.train_indices) {
-        train_x.push_back(X[r]);
-        train_y.push_back(route[r]);
-      }
-      const int num_features = static_cast<int>(train_x[0].size());
-      ml::GeneticSelectorOptions ga;
-      ga.population_size = options.ga_population;
-      ga.generations = options.ga_generations;
-      ga.subset_size = std::min(options.ga_subset, num_features);
-      ga.seed = hash_combine64(options.seed, 0x6A6A);
-      auto selected = ml::select_features(
-          num_features, ml::decision_tree_cv_fitness(train_x, train_y), ga);
-      auto restrict_row = [&](const std::vector<float>& row) {
-        std::vector<float> out;
-        for (int fidx : selected.best_subset) out.push_back(row[fidx]);
-        return out;
-      };
-      std::vector<std::vector<float>> train_sub;
-      for (const auto& row : train_x) train_sub.push_back(restrict_row(row));
-      ml::DecisionTree router;
-      router.fit(train_sub, train_y);
+      const SubsetTree router(X, route, fold.train_indices, options, 0x6A6A);
       for (int r : fold.validation_indices) {
         RegionOutcome& out = result.regions[r];
-        out.hybrid_profiled = router.predict(restrict_row(X[r])) == 1;
+        out.hybrid_profiled = router.predict(X[r]) == 1;
         fold_correct[f] += (out.hybrid_profiled == out.needs_profiling);
         int label = out.hybrid_profiled ? out.dynamic_label
                                         : out.static_label;

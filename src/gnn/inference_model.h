@@ -1,6 +1,6 @@
-// The servable-model base: what the serving layer (serve::ModelRegistry,
-// serve::InferenceServer, serve::Router) requires of anything it publishes,
-// and the one sharded inference driver behind it.
+// The servable-model base: what the serving layer (serve::InferenceServer,
+// serve::Router) requires of anything it publishes, and the one sharded
+// inference driver behind it.
 //
 // Two implementations exist: the float gnn::StaticModel (gnn/model.h) and the
 // post-training int8 gnn::QuantizedModel (gnn/quantize.h) it produces. The

@@ -1,8 +1,8 @@
 // The serving layer's typed front-door vocabulary.
 //
 // A Request names everything the front door needs to route and admit one
-// region query: the graph, the target model (for multi-model routing a
-// per-architecture registry name, e.g. "Skylake"), a queue-time deadline
+// region query: the graph, the target model (for multi-model routing the
+// name a model was published under, e.g. "Skylake"), a queue-time deadline
 // and a priority that admission control consults when it must shed load. A
 // Response answers with the predicted label plus the provenance a
 // production client wants: which model version answered, whether the
@@ -82,7 +82,7 @@ struct Request {
   /// (or the future's resolution).
   const graph::ProgramGraph* graph = nullptr;
 
-  /// Routing key for serve::Router: the registry name of the target model
+  /// Routing key for serve::Router: the published name of the target model
   /// (per-architecture serving publishes one model per machine name). Empty
   /// routes to the router's only model; with several models published an
   /// empty name is ModelNotFound (ambiguous). A bare InferenceServer is a
@@ -110,8 +110,9 @@ struct Response {
   /// Predicted label; meaningful only when status.ok().
   int label = -1;
 
-  /// Version of the publication that answered (see ModelSlot); 0 when shed
-  /// before any model saw the request.
+  /// Version of the publication that answered (see
+  /// InferenceServer::publish); 0 when shed before any model saw the
+  /// request.
   std::uint64_t model_version = 0;
 
   Source source = Source::Batch;

@@ -20,29 +20,24 @@ std::uint64_t Router::publish(const std::string& name, ModelPtr model) {
   // the writer lock so injected latency stalls only writers that would
   // serialize behind this publish anyway — readers stay lock-free.
   IRGNN_FAILPOINT("router.publish", (void)0);
-  // The registry publish and the map update happen under one writer lock —
-  // and the registry publish comes first, so the slot holds a model before
-  // any server attaches to it (the server constructor requires a
-  // publication). A retire() of the same name serializes behind us (or we
-  // behind it), so we can never attach a server to a slot a racing retire
-  // just emptied.
+  // Writers serialize on mutex_, so a retire() of the same name can never
+  // slip between the lookup below and the publish or insert that follows.
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t version = registry_.publish(name, std::move(model));
-  if (stopped_.load(std::memory_order_relaxed))
-    return version;  // name stays published but is never routed
+  if (stopped_.load(std::memory_order_relaxed)) return 0;
   const std::shared_ptr<const ServerMap> current =
       std::atomic_load(&servers_);
-  if (current->find(name) == current->end()) {
-    ServerConfig server_config = config_.server;
-    server_config.max_queue = config_.max_queue;
-    server_config.shed_policy = config_.shed_policy;
-    auto next = std::make_shared<ServerMap>(*current);
-    next->emplace(name, std::make_shared<InferenceServer>(
-                            registry_.slot(name), server_config));
-    std::atomic_store(&servers_,
-                      std::shared_ptr<const ServerMap>(std::move(next)));
-  }
-  return version;
+  auto it = current->find(name);
+  if (it != current->end()) return it->second->publish(std::move(model));
+  ServerConfig server_config = config_.server;
+  server_config.max_queue = config_.max_queue;
+  server_config.shed_policy = config_.shed_policy;
+  auto server =
+      std::make_shared<InferenceServer>(std::move(model), server_config);
+  auto next = std::make_shared<ServerMap>(*current);
+  next->emplace(name, server);
+  std::atomic_store(&servers_,
+                    std::shared_ptr<const ServerMap>(std::move(next)));
+  return server->model_version();
 }
 
 bool Router::retire(const std::string& name) {
@@ -62,9 +57,6 @@ bool Router::retire(const std::string& name) {
     next->erase(name);
     std::atomic_store(&servers_,
                       std::shared_ptr<const ServerMap>(std::move(next)));
-    // Inside the writer lock, like publish(): a concurrent publish of the
-    // same name must observe map and registry changing together.
-    registry_.retire(name);
   }
   // Drain outside the router lock: admitted queries are answered (their
   // waiters pump), new submits race to ShuttingDown; in-flight routes that
@@ -195,6 +187,13 @@ Response Router::predict(const Request& request, const RetryPolicy& policy) {
   return response;
 }
 
+std::uint64_t Router::version(const std::string& name) const {
+  const std::shared_ptr<const ServerMap> servers =
+      std::atomic_load(&servers_);
+  auto it = servers->find(name);
+  return it == servers->end() ? 0 : it->second->model_version();
+}
+
 std::vector<std::string> Router::models() const {
   const std::shared_ptr<const ServerMap> servers =
       std::atomic_load(&servers_);
@@ -230,7 +229,7 @@ RouterStats Router::stats() const {
   for (const auto& [name, server] : *servers) {
     RouterModelStats entry;
     entry.model = name;
-    entry.version = registry_.version(name);
+    entry.version = server->model_version();
     entry.stats = server->stats();
     out.total.merge(entry.stats);
     out.models.push_back(std::move(entry));

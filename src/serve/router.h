@@ -3,12 +3,13 @@
 //
 // The deployment shape this serves is the paper's fig. 8 cross-architecture
 // story: one trained predictor per target machine ("SandyBridge",
-// "Skylake", ...) published into per-architecture registry slots, and one
-// front door that picks the right model for each query instead of one
-// hard-wired server per call site. Publishing an existing name hot-swaps
-// that model's server in place (readers never block; in-flight batches
-// finish on their snapshot); retire() stops routing a name and drains its
-// server.
+// "Skylake", ...) published under the machine's name, and one front door
+// that picks the right model for each query instead of one hard-wired
+// server per call site. The router's name -> server map is the only model
+// index: each server owns its own (model, version) publication, so
+// publishing an existing name hot-swaps that server in place (readers
+// never block; in-flight batches finish on their snapshot), and retire()
+// stops routing a name and drains its server.
 //
 // Admission control is enforced per model: RouterConfig::{max_queue,
 // shed_policy} configure every server the router creates, so overload on
@@ -124,8 +125,9 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// Publishes `model` under `name`: the first publish creates the name's
-  /// server (attached to the registry slot), later publishes hot-swap it.
-  /// Returns the publication version (monotonic per name).
+  /// server at version 1, later publishes hot-swap it. Returns the server's
+  /// publication version (monotonic per server), or 0 after shutdown().
+  /// A retired and republished name gets a fresh server at version 1.
   std::uint64_t publish(const std::string& name, ModelPtr model);
 
   /// Stops routing `name` and drains its server (admitted queries are
@@ -156,13 +158,7 @@ class Router {
   std::vector<std::string> models() const;
 
   /// Current publication version under `name` (0 when absent).
-  std::uint64_t version(const std::string& name) const {
-    return registry_.version(name);
-  }
-
-  /// The registry the router publishes through; exposed so callers can
-  /// attach additional servers or inspect slots.
-  ModelRegistry& registry() { return registry_; }
+  std::uint64_t version(const std::string& name) const;
 
   const RouterConfig& config() const { return config_; }
   RouterStats stats() const;
@@ -177,9 +173,9 @@ class Router {
 
   /// Resolves request.model to a live server (nullptr + error otherwise).
   /// Lock-free: reads an immutable snapshot of the name->server map (the
-  /// same copy-on-publish discipline ModelSlot uses for models), so routed
-  /// queries — warm cache hits especially — never serialize on the router
-  /// mutex. The returned shared_ptr keeps the server alive across a
+  /// same copy-on-publish discipline each server uses for its model), so
+  /// routed queries — warm cache hits especially — never serialize on the
+  /// router mutex. The returned shared_ptr keeps the server alive across a
   /// concurrent retire.
   std::shared_ptr<InferenceServer> route(std::string_view model,
                                          Status* status);
@@ -188,7 +184,6 @@ class Router {
   void drain_and_merge(InferenceServer& server);
 
   RouterConfig config_;
-  ModelRegistry registry_;
   /// Serializes writers (publish/retire/shutdown) and guards retired_.
   mutable std::mutex mutex_;
   /// Immutable snapshot, swapped whole under mutex_ via std::atomic_store;

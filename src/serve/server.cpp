@@ -23,21 +23,11 @@ std::int64_t us_between(Clock::time_point from, Clock::time_point to) {
 }  // namespace
 
 InferenceServer::InferenceServer(ModelPtr model, const ServerConfig& config)
-    : InferenceServer(
-          [&] {
-            auto slot = std::make_shared<ModelSlot>();
-            slot->publish(std::move(model));
-            return slot;
-          }(),
-          config) {}
-
-InferenceServer::InferenceServer(std::shared_ptr<ModelSlot> slot,
-                                 const ServerConfig& config)
     : config_(config),
-      slot_(std::move(slot)),
+      published_(std::make_shared<const PublishedModel>(
+          PublishedModel{std::move(model), 1})),
       cache_(config.cache_capacity) {
-  assert(slot_ && slot_->snapshot()->model &&
-         "InferenceServer requires a published model");
+  assert(published_->model && "InferenceServer requires a model");
   config_.max_batch = std::max(1, config_.max_batch);
   // A worker-less pool would run the loop inline and never return; fall
   // back to client-driven pumping there.
@@ -456,7 +446,7 @@ StatusOr<InferenceServer::Future> InferenceServer::submit(
   }
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t fp = graph::fingerprint(*request.graph);
-  const std::shared_ptr<const PublishedModel> published = slot_->snapshot();
+  const std::shared_ptr<const PublishedModel> published = snapshot();
   int label = 0;
   if (cache_.lookup(hash_combine64(published->version, fp), &label,
                     /*count_miss=*/false)) {
@@ -511,7 +501,12 @@ void InferenceServer::predict_batch(
 }
 
 std::uint64_t InferenceServer::publish(ModelPtr model) {
-  return slot_->publish(std::move(model));
+  std::lock_guard<std::mutex> lock(publish_mutex_);
+  const std::uint64_t version = snapshot()->version + 1;
+  std::atomic_store(&published_,
+                    std::make_shared<const PublishedModel>(
+                        PublishedModel{std::move(model), version}));
+  return version;
 }
 
 void InferenceServer::attach_callback(std::uint32_t slot, std::uint64_t gen,
@@ -582,7 +577,7 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock,
   // One consistent (model, version) snapshot answers the whole batch; a
   // concurrent publish only affects later batches. The snapshot's
   // shared_ptr keeps the model alive even if it is retired mid-forward.
-  const std::shared_ptr<const PublishedModel> published = slot_->snapshot();
+  const std::shared_ptr<const PublishedModel> published = snapshot();
   if (!batch_slots_.empty()) {
     Status forward_status;
     std::int64_t compute_us = 0;
@@ -704,40 +699,13 @@ Response InferenceServer::wait(std::uint32_t slot, std::uint64_t gen) {
 
 void InferenceServer::background_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
-  bool idle_trimmed = false;
-  auto idle_since = Clock::now();
   while (!stop_) {
-    if (!queue_.empty() || pumping_) {
-      // Activity — whether this loop drives the batch or a waiting client
-      // beat it to the pump role — re-arms the idle-trim trigger, so the
-      // grace period always measures genuine quiet, not just time since
-      // the loop's own last pump.
-      idle_trimmed = false;
-      if (pumping_)
-        cv_done_.wait(lock);
-      else
-        pump_one(lock, /*wait_window=*/true);
-      idle_since = Clock::now();
-      continue;
-    }
-    if (config_.idle_trim_us > 0 && !idle_trimmed) {
-      const auto deadline =
-          idle_since + std::chrono::microseconds(config_.idle_trim_us);
-      if (Clock::now() >= deadline) {
-        // Grace period expired with the queue still empty: hand the
-        // arena's cached blocks back to the system. Once per idle
-        // episode — the next batch re-arms the trigger.
-        lock.unlock();
-        support::BufferPool::global().trim();
-        lock.lock();
-        idle_trimmed = true;
-        ++counters_.idle_trims;
-        continue;
-      }
-      cv_queue_.wait_until(lock, deadline);
-    } else {
+    if (pumping_)
+      cv_done_.wait(lock);  // a waiting client holds the pump role
+    else if (!queue_.empty())
+      pump_one(lock, /*wait_window=*/true);
+    else
       cv_queue_.wait(lock);
-    }
   }
   loop_running_ = false;
   cv_done_.notify_all();
@@ -770,7 +738,6 @@ void ServerStats::merge(const ServerStats& other) {
   batches += other.batches;
   max_batch = std::max(max_batch, other.max_batch);
   model_swaps += other.model_swaps;
-  idle_trims += other.idle_trims;
   coalesced += other.coalesced;
   shed += other.shed;
   rejected += other.rejected;

@@ -41,10 +41,10 @@
 //
 // Hot answers skip the forward: results are cached under
 // hash_combine64(model version, graph::fingerprint(graph)), and a warm hit
-// through predict() performs zero heap allocations. Hot swap: the server
-// reads its model through a ModelSlot (its own, or one shared with a
-// ModelRegistry name); in-flight batches finish on the snapshot they took,
-// and version-keyed caching means a retired model can never answer.
+// through predict() performs zero heap allocations. Hot swap: publish()
+// replaces the server's (model, version) publication atomically; in-flight
+// batches finish on the snapshot they took, and version-keyed caching means
+// a retired model can never answer.
 //
 // In-flight coalescing: a cache miss consults an in-flight map keyed by
 // (version, fingerprint): if an identical query is already queued or mid-
@@ -84,14 +84,35 @@
 #include <unordered_map>
 #include <vector>
 
+#include "gnn/inference_model.h"
 #include "graph/program_graph.h"
-#include "serve/model_registry.h"
 #include "serve/prediction_cache.h"
 #include "serve/request.h"
 #include "support/arena.h"
 #include "support/inline_function.h"
 
 namespace irgnn::serve {
+
+/// The serving layer holds models through the InferenceModel interface, so
+/// float (gnn::StaticModel) and int8 (gnn::QuantizedModel) versions publish
+/// and mix behind the same server/router with no serve-side type knowledge.
+/// shared_ptr<const StaticModel> upcasts implicitly.
+using ModelPtr = std::shared_ptr<const gnn::InferenceModel>;
+
+/// One consistent (model, version) publication. A server's first model is
+/// version 1; each publish() bumps it by one.
+struct PublishedModel {
+  ModelPtr model;
+  std::uint64_t version = 0;
+};
+
+/// Non-owning ModelPtr over a caller-kept model (shared_ptr aliasing): for
+/// stack- or member-owned models served in-process, e.g. the per-fold
+/// models of core::run_experiment. The caller must keep `model` alive for
+/// the server's lifetime.
+inline ModelPtr borrow_model(const gnn::InferenceModel& model) {
+  return ModelPtr(std::shared_ptr<void>(), &model);
+}
 
 struct ServerConfig {
   /// Micro-batch flush thresholds: a batch launches as soon as `max_batch`
@@ -133,12 +154,6 @@ struct ServerConfig {
   /// servers created inside pool-parallel sections (clients then drive the
   /// batching themselves while waiting; behaviour is otherwise identical).
   bool background_loop = true;
-
-  /// When > 0 and the admission queue has been empty for this many
-  /// microseconds, the serving loop releases the buffer arena's cached
-  /// blocks back to the system (support::BufferPool::trim) once per idle
-  /// episode. Requires background_loop.
-  std::int64_t idle_trim_us = 0;
 };
 
 /// The one definition of a server's counters: InferenceServer keeps its
@@ -150,7 +165,6 @@ struct ServerStats {
   std::uint64_t batches = 0;     // micro-batches launched
   std::uint64_t max_batch = 0;   // largest micro-batch observed
   std::uint64_t model_swaps = 0; // version changes observed between batches
-  std::uint64_t idle_trims = 0;  // arena trims triggered by idleness
 
   // In-flight coalescing. `coalesced` counts every query that attached to
   // a leader — the conservation invariant is conserved() below (a
@@ -251,14 +265,8 @@ class InferenceServer {
     Response response_;
   };
 
-  /// Serves `model` through a private slot (hot-swappable via publish()).
+  /// Serves `model` as version 1 (hot-swappable via publish()).
   explicit InferenceServer(ModelPtr model, const ServerConfig& config = {});
-
-  /// Serves whatever `slot` currently publishes — attach a ModelRegistry
-  /// slot so registry publishes under that name reach this server. The slot
-  /// must already hold a model.
-  explicit InferenceServer(std::shared_ptr<ModelSlot> slot,
-                           const ServerConfig& config = {});
 
   ~InferenceServer();
 
@@ -289,12 +297,12 @@ class InferenceServer {
   void predict_batch(const std::vector<const graph::ProgramGraph*>& graphs,
                      std::vector<Response>& out);
 
-  /// Hot-swaps the served model (publishes to the server's slot). Returns
-  /// the new version. In-flight batches finish on their snapshot.
+  /// Hot-swaps the served model. Returns the new version. Readers never
+  /// block on a publisher, and in-flight batches finish on their snapshot.
   std::uint64_t publish(ModelPtr model);
 
-  /// Version of the current publication (monotonic per slot).
-  std::uint64_t model_version() const { return slot_->snapshot()->version; }
+  /// Version of the current publication (monotonic per server).
+  std::uint64_t model_version() const { return snapshot()->version; }
 
   const ServerConfig& config() const { return config_; }
   ServerStats stats() const;
@@ -401,6 +409,13 @@ class InferenceServer {
 
   void background_loop();
 
+  /// Wait-free consistent snapshot of the current publication: never a
+  /// torn (model of one version, number of another) pair, and its
+  /// shared_ptr keeps the model alive for as long as the holder needs it.
+  std::shared_ptr<const PublishedModel> snapshot() const {
+    return std::atomic_load(&published_);
+  }
+
   /// Handshake between the constructor's loop-task submission and
   /// shutdown(): whichever runs first under the token's mutex decides. If
   /// shutdown wins before the pool ever scheduled the task, it cancels the
@@ -414,7 +429,9 @@ class InferenceServer {
   };
 
   ServerConfig config_;
-  std::shared_ptr<ModelSlot> slot_;
+  /// Swapped whole by publish() with std::atomic_store; never null.
+  std::shared_ptr<const PublishedModel> published_;
+  std::mutex publish_mutex_;  // serializes publishers only
   PredictionCache cache_;
   std::shared_ptr<LoopToken> loop_token_;
 

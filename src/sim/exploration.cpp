@@ -44,7 +44,6 @@ ExplorationTable explore(const MachineDesc& machine,
   for (const auto& traits : regions) table.regions.push_back(traits.region);
   table.time.assign(regions.size(),
                     std::vector<double>(table.configurations.size(), 0.0));
-  table.default_counters.assign(regions.size(), PerfCounters{});
 
   // Reaction probes: default + packed single node + interleaved all-nodes.
   Configuration packed;
@@ -73,8 +72,6 @@ ExplorationTable explore(const MachineDesc& machine,
                                                 table.configurations[c],
                                                 size_scale);
           table.time[r][c] = result.cycles;
-          if (static_cast<int>(c) == table.default_index)
-            table.default_counters[r] = result.counters;
           for (std::size_t p = 0; p < table.probe_indices.size(); ++p)
             if (static_cast<int>(c) == table.probe_indices[p])
               table.probe_counters[r][p] = result.counters;

@@ -19,12 +19,12 @@ struct ExplorationTable {
   int default_index = -1;  // the baseline configuration's position
   /// time[r][c] = average cycles per call of region r under configuration c.
   std::vector<std::vector<double>> time;
-  /// Counters collected while profiling at the default configuration.
-  std::vector<PerfCounters> default_counters;
   /// Reaction-based probes: counters at a few strategically different
-  /// configurations (default, one-node packed, interleaved). The dynamic
-  /// baseline model reads these, mirroring Sanchez Barrera's scheme of
-  /// executing a handful of configurations and reacting to the counters.
+  /// configurations (default, one-node packed, interleaved). Probe 0 is
+  /// always default_index, so probe_counters[r][0] holds region r's
+  /// counters at the default configuration. The dynamic baseline model
+  /// reads these, mirroring Sanchez Barrera's scheme of executing a
+  /// handful of configurations and reacting to the counters.
   std::vector<int> probe_indices;
   std::vector<std::vector<PerfCounters>> probe_counters;  // [region][probe]
 

@@ -48,7 +48,7 @@ struct Registry {
   std::map<std::string, SiteState, std::less<>> sites;
 };
 
-Registry& registry() {
+Registry& failpoints() {
   static Registry* r = new Registry;
   return *r;
 }
@@ -64,7 +64,7 @@ std::uint64_t name_hash(std::string_view name) {
 }
 
 SiteState& site_for(std::string_view name) {
-  Registry& r = registry();
+  Registry& r = failpoints();
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.sites.find(name);
   if (it == r.sites.end()) {
@@ -79,7 +79,7 @@ SiteState& site_for(std::string_view name) {
 }  // namespace
 
 void set_seed(std::uint64_t seed) {
-  Registry& r = registry();
+  Registry& r = failpoints();
   std::lock_guard<std::mutex> lock(r.mu);
   r.global_seed = seed;
   for (auto& [name, site] : r.sites) {
@@ -107,7 +107,7 @@ void disable(std::string_view name) {
 }
 
 void disable_all() {
-  Registry& r = registry();
+  Registry& r = failpoints();
   std::lock_guard<std::mutex> lock(r.mu);
   for (auto& [name, site] : r.sites)
     site.armed.store(false, std::memory_order_release);

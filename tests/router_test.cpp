@@ -73,12 +73,19 @@ TEST(RouterTest, RoutesByNameAndReportsModelNotFound) {
   serve::Response none = router.predict(serve::Request(graphs[0], "snb"));
   EXPECT_EQ(none.status.code(), serve::StatusCode::kModelNotFound);
   EXPECT_EQ(none.source, serve::Source::Shed);
+  EXPECT_EQ(router.version("snb"), 0u);
 
   EXPECT_EQ(router.publish("snb", model_a), 1u);
+  EXPECT_EQ(router.version("snb"), 1u);
   // One model: an unnamed request routes to it.
   EXPECT_TRUE(router.predict(serve::Request(graphs[0])).ok());
+  // Republishing a name hot-swaps its server and bumps its version.
+  const std::uint64_t snb_version = router.publish("snb", model_a);
+  EXPECT_EQ(snb_version, 2u);
+  EXPECT_EQ(router.version("snb"), 2u);
 
-  EXPECT_EQ(router.publish("skl", model_b), 1u);
+  const std::uint64_t skl_version = router.publish("skl", model_b);
+  EXPECT_EQ(skl_version, 1u);
   EXPECT_EQ(router.models(), (std::vector<std::string>{"skl", "snb"}));
 
   // Two models: each name gets its own model's serial bits, for every
@@ -109,7 +116,11 @@ TEST(RouterTest, RoutesByNameAndReportsModelNotFound) {
 
   const serve::RouterStats stats = router.stats();
   EXPECT_EQ(stats.model_not_found, 4u);
-  EXPECT_EQ(stats.models.size(), 2u);
+  ASSERT_EQ(stats.models.size(), 2u);
+  EXPECT_EQ(stats.models[0].model, "skl");
+  EXPECT_EQ(stats.models[0].version, skl_version);
+  EXPECT_EQ(stats.models[1].model, "snb");
+  EXPECT_EQ(stats.models[1].version, snb_version);
   EXPECT_EQ(stats.total.shed + stats.total.rejected +
                 stats.total.deadline_exceeded,
             0u);
@@ -117,12 +128,18 @@ TEST(RouterTest, RoutesByNameAndReportsModelNotFound) {
   // Retire stops routing; the other model keeps serving.
   EXPECT_TRUE(router.retire("snb"));
   EXPECT_FALSE(router.retire("snb"));
+  EXPECT_EQ(router.version("snb"), 0u);
   EXPECT_EQ(router.predict(serve::Request(graphs[0], "snb")).status.code(),
             serve::StatusCode::kModelNotFound);
   EXPECT_EQ(router.predict(serve::Request(graphs[0], "skl")).label,
             expected_b[0]);
   // Retired traffic stays in the totals.
   EXPECT_GE(router.stats().total.queries, 4 * graphs.size());
+
+  // After shutdown a publish creates no server and reports no version.
+  router.shutdown();
+  EXPECT_EQ(router.publish("snb", model_a), 0u);
+  EXPECT_TRUE(router.models().empty());
 }
 
 TEST(RouterTest, AdmittedResponsesBitIdenticalForEveryPolicyAndBound) {
@@ -384,7 +401,6 @@ void expect_same_totals(const serve::ServerStats& got,
   EXPECT_EQ(got.batches, want.batches);
   EXPECT_EQ(got.max_batch, want.max_batch);
   EXPECT_EQ(got.model_swaps, want.model_swaps);
-  EXPECT_EQ(got.idle_trims, want.idle_trims);
   EXPECT_EQ(got.coalesced, want.coalesced);
   EXPECT_EQ(got.shed, want.shed);
   EXPECT_EQ(got.rejected, want.rejected);

@@ -1,8 +1,8 @@
 // Inference-server tests: determinism of dynamically micro-batched
 // concurrent serving against serial StaticModel::predict, the
 // zero-allocation warm cache-hit contract (this binary counts global
-// operator new, like arena_test), hot-swap under load, the model registry,
-// and the sharded LRU prediction cache.
+// operator new, like arena_test), hot-swap under load and the sharded LRU
+// prediction cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "gnn/model.h"
 #include "graph/fingerprint.h"
 #include "graph/graph_builder.h"
-#include "serve/model_registry.h"
 #include "serve/prediction_cache.h"
 #include "serve/server.h"
 #include "support/rng.h"
@@ -354,12 +353,10 @@ TEST(InferenceServerTest, HotSwapUnderLoadNeverDropsOrMixesQueries) {
   // flakes the seeds just need a nudge.
   ASSERT_NE(expected_a, expected_b);
 
-  serve::ModelRegistry registry;
-  registry.publish("static", model_a);
   serve::ServerConfig config;
   config.max_batch = 8;
   config.cache_capacity = 256;
-  serve::InferenceServer server(registry.slot("static"), config);
+  serve::InferenceServer server(model_a, config);
 
   constexpr int kClients = 4;
   constexpr int kQueriesPerClient = 200;
@@ -383,7 +380,7 @@ TEST(InferenceServerTest, HotSwapUnderLoadNeverDropsOrMixesQueries) {
   }
   // Swap mid-load.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const std::uint64_t v2 = registry.publish("static", model_b);
+  const std::uint64_t v2 = server.publish(model_b);
   for (auto& t : clients) t.join();
 
   EXPECT_EQ(wrong.load(), 0);
@@ -572,17 +569,15 @@ TEST(InferenceServerTest, WaitersAcrossHotSwapReportTheAnsweringVersion) {
   auto model_b = std::make_shared<const gnn::StaticModel>(small_config(0x24));
   const std::vector<int> expected_b = serial_predict(*model_b);
   const auto& graphs = test_graphs();
-  serve::ModelRegistry registry;
-  registry.publish("m", model_a);
   serve::ServerConfig config;
   config.background_loop = false;
   config.cache_capacity = 64;
-  serve::InferenceServer server(registry.slot("m"), config);
+  serve::InferenceServer server(model_a, config);
 
   auto leader = server.submit(serve::Request(graphs[1]));
   auto waiter = server.submit(serve::Request(graphs[1]));
   ASSERT_TRUE(leader.ok() && waiter.ok());
-  const std::uint64_t v2 = registry.publish("m", model_b);
+  const std::uint64_t v2 = server.publish(model_b);
 
   serve::Response rw = waiter.value().get();
   serve::Response rl = leader.value().get();
@@ -718,31 +713,6 @@ TEST(InferenceServerFutureTest, AbandonAfterMoveReleasesTheRightSlot) {
   // recycles; later queries are unaffected.
   EXPECT_EQ(server.predict(graphs[2]).label, expected[2]);
   EXPECT_EQ(server.predict(graphs[1]).label, expected[1]);
-}
-
-TEST(ModelRegistryTest, PublishResolveRetireAndVersions) {
-  auto model_a = std::make_shared<const gnn::StaticModel>(small_config(0x1));
-  auto model_b = std::make_shared<const gnn::StaticModel>(small_config(0x2));
-  serve::ModelRegistry registry;
-
-  EXPECT_EQ(registry.resolve("gnn"), nullptr);
-  EXPECT_EQ(registry.version("gnn"), 0u);
-
-  EXPECT_EQ(registry.publish("gnn", model_a), 1u);
-  EXPECT_EQ(registry.resolve("gnn").get(), model_a.get());
-  EXPECT_EQ(registry.publish("gnn", model_b), 2u);
-  EXPECT_EQ(registry.resolve("gnn").get(), model_b.get());
-  EXPECT_EQ(registry.version("gnn"), 2u);
-  EXPECT_EQ(registry.names(), std::vector<std::string>{"gnn"});
-
-  // A server stays attached to the slot across retire: the name is gone
-  // from the registry but the last publication keeps serving.
-  auto slot = registry.slot("gnn");
-  EXPECT_TRUE(registry.retire("gnn"));
-  EXPECT_FALSE(registry.retire("gnn"));
-  EXPECT_EQ(registry.resolve("gnn"), nullptr);
-  EXPECT_EQ(slot->snapshot()->model.get(), model_b.get());
-  EXPECT_EQ(slot->snapshot()->version, 2u);
 }
 
 TEST(PredictionCacheTest, LRUEvictionAndStats) {

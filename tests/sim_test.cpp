@@ -264,6 +264,7 @@ TEST(ExplorationTest, TablesAndLabelReduction) {
   ExplorationTable table = explore(machine, traits);
   EXPECT_EQ(table.time.size(), traits.size());
   EXPECT_GE(table.default_index, 0);
+  EXPECT_EQ(table.probe_indices[0], table.default_index);
   EXPECT_EQ(table.probe_counters[0].size(), table.probe_indices.size());
   EXPECT_GE(table.full_exploration_speedup(), 1.0);
 
