@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the substrate layers: pass
 // pipeline throughput, ProGraML graph construction, RGCN forward/backward,
-// cache+prefetcher trace simulation, whole-space exploration of one region,
-// and decision-tree fitting. These are the building blocks whose cost
-// determines how far the paper-scale knobs (1000 sequences, 256-d vectors)
-// can be pushed.
+// cache+prefetcher trace simulation (one mask and all 16), whole-space
+// exploration of one region, and decision-tree fitting. These are the
+// building blocks whose cost determines how far the paper-scale knobs (1000
+// sequences, 256-d vectors) can be pushed.
 #include <benchmark/benchmark.h>
 
 #include "core/dataset.h"
@@ -101,6 +101,21 @@ void BM_CacheTraceSimulation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * trace.accesses.size());
 }
 BENCHMARK(BM_CacheTraceSimulation);
+
+// All 16 prefetcher masks of the same trace in one call: one L1 pass per DCU
+// pair, each replayed into four L2 variants. Items are accesses x masks, so
+// its items/s compares directly with BM_CacheTraceSimulation's.
+void BM_CacheTraceAllMasks(benchmark::State& state) {
+  const auto& spec = sample_region();
+  sim::MachineDesc machine = sim::MachineDesc::skylake();
+  sim::Trace trace = sim::generate_trace(spec.traits, 0, 24, 1.0, 0);
+  for (auto _ : state) {
+    auto all = sim::simulate_all_masks(machine, trace.accesses);
+    benchmark::DoNotOptimize(all[0].l1_hits);
+  }
+  state.SetItemsProcessed(state.iterations() * trace.accesses.size() * 16);
+}
+BENCHMARK(BM_CacheTraceAllMasks);
 
 void BM_SimulateOneConfig(benchmark::State& state) {
   const auto& spec = sample_region();

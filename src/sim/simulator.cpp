@@ -24,38 +24,33 @@ std::vector<int> threads_per_node(const MachineDesc& m,
   return tpn;
 }
 
-double sum(const std::vector<double>& v) {
-  double s = 0;
-  for (double x : v) s += x;
-  return s;
-}
-
 }  // namespace
 
 Simulator::PhaseCacheStats Simulator::core_stats(
     const WorkloadTraits& traits, std::size_t phase_index, int threads,
     const PrefetcherConfig& prefetch, double size_scale, int call_index) {
   int drift_call = traits.call_variability > 0.0 ? call_index : 0;
-  auto key = std::make_tuple(traits.region, phase_index, threads,
-                             prefetch.msr_mask(),
-                             static_cast<int>(size_scale * 100), drift_call);
+  auto key = std::make_tuple(traits.region, phase_index, threads, size_scale,
+                             drift_call);
   auto it = stats_cache_.find(key);
-  if (it != stats_cache_.end()) return it->second;
-
-  Trace trace =
-      generate_trace(traits, phase_index, threads, size_scale, drift_call);
-  CoreCacheModel core(machine_, prefetch);
-  for (const MemoryAccess& access : trace.accesses) core.access(access);
-  const CacheStats& cs = core.stats();
-
-  PhaseCacheStats out;
-  out.l1_hit_rate = cs.l1_hit_rate();
-  out.l2_hit_rate = cs.l2_local_hit_rate();
-  out.beyond_l2_per_access = cs.beyond_l2_per_access();
-  out.prefetch_traffic_per_access = cs.prefetch_traffic_per_access();
-  out.prefetch_accuracy = cs.prefetch_accuracy();
-  stats_cache_.emplace(key, out);
-  return out;
+  if (it == stats_cache_.end()) {
+    Trace trace =
+        generate_trace(traits, phase_index, threads, size_scale, drift_call);
+    const std::array<CacheStats, 16> all =
+        simulate_all_masks(machine_, trace.accesses);
+    std::array<PhaseCacheStats, 16> per_mask;
+    for (int mask = 0; mask < 16; ++mask) {
+      const CacheStats& cs = all[mask];
+      PhaseCacheStats& out = per_mask[mask];
+      out.l1_hit_rate = cs.l1_hit_rate();
+      out.l2_hit_rate = cs.l2_local_hit_rate();
+      out.beyond_l2_per_access = cs.beyond_l2_per_access();
+      out.prefetch_traffic_per_access = cs.prefetch_traffic_per_access();
+      out.prefetch_accuracy = cs.prefetch_accuracy();
+    }
+    it = stats_cache_.emplace(key, per_mask).first;
+  }
+  return it->second[prefetch.msr_mask()];
 }
 
 SimResult Simulator::simulate_call(const WorkloadTraits& traits,
@@ -127,38 +122,34 @@ SimResult Simulator::simulate_call(const WorkloadTraits& traits,
 
     const double mem_per_access =
         cs.beyond_l2_per_access * (1.0 - l3_hit);
-    const double l3_miss_ratio =
-        cs.beyond_l2_per_access > 1e-12
-            ? mem_per_access / cs.beyond_l2_per_access
-            : 0.0;
 
     // --- Local / remote split by page mapping -------------------------------
     double t0_frac = static_cast<double>(tpn[0]) / T;  // threads on node 0
-    double local_frac;
-    switch (config.page_mapping) {
-      case PageMapping::FirstTouch:
-        // The master thread's node hosts every page.
-        local_frac = N == 1 ? 1.0 : t0_frac;
-        break;
-      case PageMapping::Locality:
-        // Private pages land on the accessor's node; shared pages have one
-        // home node (the first toucher's, node 0).
-        local_frac =
-            N == 1 ? 1.0 : (1.0 - shared_frac) + shared_frac * t0_frac;
-        break;
-      case PageMapping::Interleave:
-        local_frac = 1.0 / nodes_with_threads;
-        break;
-      case PageMapping::Balance:
-        // Pages distributed proportionally to the per-node thread load.
-        local_frac = 0;
-        for (int n = 0; n < N; ++n) {
-          double share = static_cast<double>(tpn[n]) / T;
-          local_frac += share * share;
-        }
-        break;
+    double local_frac = 1.0;  // one node: every access is local
+    if (N > 1) {
+      switch (config.page_mapping) {
+        case PageMapping::FirstTouch:
+          // The master thread's node hosts every page.
+          local_frac = t0_frac;
+          break;
+        case PageMapping::Locality:
+          // Private pages land on the accessor's node; shared pages have
+          // one home node (the first toucher's, node 0).
+          local_frac = (1.0 - shared_frac) + shared_frac * t0_frac;
+          break;
+        case PageMapping::Interleave:
+          local_frac = 1.0 / nodes_with_threads;
+          break;
+        case PageMapping::Balance:
+          // Pages distributed proportionally to the per-node thread load.
+          local_frac = 0;
+          for (int n = 0; n < N; ++n) {
+            double share = static_cast<double>(tpn[n]) / T;
+            local_frac += share * share;
+          }
+          break;
+      }
     }
-    if (N == 1) local_frac = 1.0;
     const double remote_frac = 1.0 - local_frac;
     const double avg_mem_lat =
         local_frac * m.lat_local_mem + remote_frac * m.lat_remote_mem;

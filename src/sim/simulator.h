@@ -2,8 +2,12 @@
 //
 // For one (workload, configuration, input size, call) the simulator:
 //   1. runs the phase's synthetic per-thread trace through the private
-//      L1/L2 + prefetcher model (memoized — cache behaviour only depends on
-//      threads/prefetchers/size/call, not on NUMA placement),
+//      L1/L2 + prefetcher model. Cache behaviour depends only on
+//      (region, phase, threads, size, call), not on NUMA placement, so it is
+//      memoized by that key; one memo miss generates the trace once and
+//      simulates all 16 prefetcher masks from it (simulate_all_masks, which
+//      runs L1 once per DCU-prefetcher pair and replays its L2 requests per
+//      L2-prefetcher pair), so the memo value holds every mask,
 //   2. models the shared per-node L3 by capacity pressure from the threads
 //      placed on the node,
 //   3. splits memory traffic into local/remote according to the page
@@ -20,7 +24,10 @@
 // region.
 #pragma once
 
+#include <array>
 #include <map>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/cache.h"
@@ -97,9 +104,10 @@ class Simulator {
                              double size_scale, int call_index);
 
   MachineDesc machine_;
-  // Memoized per-thread cache statistics.
-  std::map<std::tuple<std::string, std::size_t, int, int, int, int>,
-           PhaseCacheStats>
+  // Per-thread cache statistics of every prefetcher mask (indexed by MSR
+  // mask), memoized by (region, phase, threads, exact size scale, call).
+  std::map<std::tuple<std::string, std::size_t, int, double, int>,
+           std::array<PhaseCacheStats, 16>>
       stats_cache_;
 };
 

@@ -2,12 +2,17 @@
 // the configuration space enumeration (320 / 288), NUMA timing properties,
 // counters, label reduction and cross-architecture translation. The
 // parameterized sweeps check mechanistic invariants across the whole
-// configuration space.
+// configuration space; committed digests pin both machines' full-suite
+// exploration tables, and prefetcher-mask properties hold without a
+// reference model (sim_reference_test has the reference diff).
 #include <algorithm>
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <set>
+#include <string>
 
 #include "support/rng.h"
 
@@ -21,26 +26,65 @@
 namespace irgnn::sim {
 namespace {
 
+using Lookup = SetAssociativeCache::Lookup;
+
 TEST(CacheTest, LruEviction) {
   // 2 sets x 2 ways of 64B lines = 256 bytes.
   SetAssociativeCache cache(256, 2, 64);
   ASSERT_EQ(cache.num_sets(), 2);
   // Lines 0, 2, 4 map to set 0; two fit, the third evicts the LRU (0).
-  cache.insert(0, false);
-  cache.insert(2, false);
-  EXPECT_TRUE(cache.access(0));  // touch 0: now 2 is LRU
-  cache.insert(4, false);
-  EXPECT_TRUE(cache.contains(0));
-  EXPECT_FALSE(cache.contains(2));
-  EXPECT_TRUE(cache.contains(4));
+  EXPECT_TRUE(cache.fill(0, false));
+  EXPECT_TRUE(cache.fill(2, false));
+  EXPECT_FALSE(cache.fill(2, false));  // already present: no change
+  EXPECT_EQ(cache.access(0), Lookup::Hit);  // touch 0: now 2 is LRU
+  EXPECT_TRUE(cache.fill(4, false));
+  EXPECT_EQ(cache.access(0), Lookup::Hit);
+  EXPECT_EQ(cache.access(2), Lookup::Miss);
+  EXPECT_EQ(cache.access(4), Lookup::Hit);
 }
 
 TEST(CacheTest, PrefetchTagClearedByDemand) {
   SetAssociativeCache cache(1024, 4, 64);
-  cache.insert(7, /*prefetched=*/true);
-  EXPECT_TRUE(cache.is_prefetched(7));
-  EXPECT_TRUE(cache.access(7));
-  EXPECT_FALSE(cache.is_prefetched(7));
+  cache.fill(7, /*prefetched=*/true);
+  EXPECT_EQ(cache.access(7), Lookup::PrefetchedHit);
+  EXPECT_EQ(cache.access(7), Lookup::Hit);
+}
+
+TEST(CacheTest, AccessOrFillInsertsUntaggedOnMiss) {
+  SetAssociativeCache cache(256, 2, 64);
+  EXPECT_EQ(cache.access_or_fill(3), Lookup::Miss);
+  EXPECT_EQ(cache.access_or_fill(3), Lookup::Hit);
+  EXPECT_FALSE(cache.fill(3, true));
+}
+
+TEST(CacheTest, CountsPrefetchedLinesEvictedUntouched) {
+  // One set of 2 ways: the third fill evicts the untouched prefetch.
+  SetAssociativeCache cache(128, 2, 64);
+  cache.fill(1, /*prefetched=*/true);
+  cache.fill(2, /*prefetched=*/false);
+  cache.fill(3, /*prefetched=*/false);
+  EXPECT_EQ(cache.polluting_evictions(), 1u);
+  cache.fill(4, /*prefetched=*/true);  // evicts 2: not a prefetch
+  EXPECT_EQ(cache.polluting_evictions(), 1u);
+}
+
+TEST(CacheTest, LruMissesNeverRiseWithCapacity) {
+  // Mattson stack inclusion: a fully associative LRU cache of k+1 lines
+  // holds every line one of k lines holds, so it never misses more.
+  irgnn::Rng rng(11);
+  std::vector<std::uint64_t> lines(5000);
+  for (auto& line : lines) line = rng.next_below(48);
+  std::uint64_t previous_misses = lines.size() + 1;
+  for (int ways = 1; ways <= 64; ways *= 2) {
+    SetAssociativeCache cache(ways * 64, ways, 64);
+    ASSERT_EQ(cache.num_sets(), 1);
+    std::uint64_t misses = 0;
+    for (std::uint64_t line : lines)
+      misses += cache.access_or_fill(line) == Lookup::Miss;
+    EXPECT_LE(misses, previous_misses) << ways << " ways";
+    previous_misses = misses;
+  }
+  EXPECT_EQ(previous_misses, 48u);  // 64 ways hold every line: cold misses
 }
 
 MemoryAccess make_access(std::uint64_t address, std::uint32_t pc = 1) {
@@ -284,6 +328,117 @@ TEST(ExplorationTest, TablesAndLabelReduction) {
   EXPECT_LE(s6, s13 + 1e-9);
   // Label subsets never lose to the baseline.
   EXPECT_GE(s2, 1.0);
+}
+
+// --- Committed exploration-table digests ------------------------------------
+
+/// Folds the bit pattern of `value` into `h`.
+std::uint64_t fold(std::uint64_t h, double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return hash_combine64(h, bits);
+}
+
+/// Digest of every time cell and every probe counter of a table.
+std::uint64_t table_digest(const ExplorationTable& table) {
+  std::uint64_t h = hash_combine64(table.time.size(),
+                                   table.configurations.size());
+  for (const auto& row : table.time)
+    for (double t : row) h = fold(h, t);
+  for (const auto& probes : table.probe_counters) {
+    for (const PerfCounters& c : probes) {
+      for (double v : {c.instructions, c.cycles, c.ipc, c.l1_miss_ratio,
+                       c.l2_miss_ratio, c.l3_miss_ratio,
+                       c.remote_access_ratio, c.bandwidth_utilization,
+                       c.package_power})
+        h = fold(h, v);
+    }
+  }
+  return h;
+}
+
+// Recorded before the cache model's rewrite (struct-of-arrays sets, flat
+// prefetcher tables, all 16 prefetcher masks from one trace). Any change to
+// a modelled cycle or counter of the full suite moves them; the values also
+// hold for every explore thread count (IRGNN_NUM_THREADS=1 and 4 checked).
+constexpr std::uint64_t kSandyBridgeTableDigest = 0x59815fed351716b8ull;
+constexpr std::uint64_t kSkylakeTableDigest = 0x72cfec80108ce34full;
+
+/// The full suite explored at size 1.0, once per machine per test binary.
+const ExplorationTable& full_suite_table(const MachineDesc& machine) {
+  static std::map<std::string, ExplorationTable> tables;
+  auto it = tables.find(machine.name);
+  if (it == tables.end())
+    it = tables.emplace(machine.name,
+                        explore(machine, workloads::suite_traits(), 1.0))
+             .first;
+  return it->second;
+}
+
+TEST(ExplorationTest, FullSuiteTablesMatchCommittedDigests) {
+  const std::uint64_t snb =
+      table_digest(full_suite_table(MachineDesc::sandy_bridge()));
+  const std::uint64_t skl =
+      table_digest(full_suite_table(MachineDesc::skylake()));
+  EXPECT_EQ(snb, kSandyBridgeTableDigest) << std::hex << "0x" << snb;
+  EXPECT_EQ(skl, kSkylakeTableDigest) << std::hex << "0x" << skl;
+}
+
+TEST(ExplorationTest, BestConfigIsTheRowArgmin) {
+  for (const MachineDesc& machine :
+       {MachineDesc::sandy_bridge(), MachineDesc::skylake()}) {
+    const ExplorationTable& table = full_suite_table(machine);
+    for (std::size_t r = 0; r < table.regions.size(); ++r) {
+      const std::size_t best = table.best_config(r);
+      for (std::size_t c = 0; c < table.configurations.size(); ++c)
+        ASSERT_LE(table.time[r][best], table.time[r][c])
+            << machine.name << " " << table.regions[r] << " config " << c;
+    }
+  }
+}
+
+// --- Prefetcher-mask properties that need no reference ---------------------
+
+TEST(AllMasksTest, MaskFifteenIssuesNoPrefetchesAndNoMaskChangesAccesses) {
+  // MSR 0x1A4 bits disable prefetchers: mask 15 turns all four off.
+  for (const MachineDesc& machine :
+       {MachineDesc::sandy_bridge(), MachineDesc::skylake()}) {
+    for (int r : {0, 7, 19, 33, 48}) {
+      const auto& spec = workloads::benchmark_suite()[r];
+      const Trace trace = generate_trace(spec.traits, 0, 2, 1.0, 0);
+      const auto all = simulate_all_masks(machine, trace.accesses);
+      EXPECT_EQ(all[15].prefetches_issued, 0u) << spec.name;
+      EXPECT_EQ(all[15].prefetch_hits, 0u) << spec.name;
+      EXPECT_EQ(all[15].prefetch_unused, 0u) << spec.name;
+      for (int mask = 0; mask < 16; ++mask) {
+        EXPECT_EQ(all[mask].accesses, trace.accesses.size())
+            << spec.name << " mask " << mask;
+        EXPECT_EQ(all[mask].l1_hits + all[mask].l2_hits + all[mask].l2_misses,
+                  all[mask].accesses)
+            << spec.name << " mask " << mask;
+      }
+      EXPECT_GT(all[0].prefetches_issued, 0u) << spec.name;
+    }
+  }
+}
+
+TEST(SimulatorTest, MemoKeysOnTheExactSizeScale) {
+  // One instance asked for 1.0 and then 1.009 must answer 1.009 as a fresh
+  // instance does: the two scales share no cache statistics.
+  MachineDesc machine = MachineDesc::sandy_bridge();
+  Configuration config = default_configuration(machine);
+  int differing = 0;
+  for (int r = 0; r < 8; ++r) {
+    const WorkloadTraits& traits = workloads::benchmark_suite()[r].traits;
+    Simulator reused(machine);
+    const double at_one = reused.simulate(traits, config, 1.0).cycles;
+    const double reused_cycles = reused.simulate(traits, config, 1.009).cycles;
+    Simulator fresh(machine);
+    const double fresh_cycles = fresh.simulate(traits, config, 1.009).cycles;
+    EXPECT_EQ(reused_cycles, fresh_cycles) << traits.region;
+    differing += at_one != fresh_cycles;
+  }
+  EXPECT_GT(differing, 0);  // the scales really do differ
 }
 
 TEST(TraceTest, DeterministicAndBounded) {
