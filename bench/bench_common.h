@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -244,6 +245,31 @@ inline core::ExperimentOptions options_from(const ArgParser& parser) {
   options.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
   options.num_threads = apply_threads(parser);
   return options;
+}
+
+/// Microseconds of a steady_clock duration, for latency samples.
+inline double to_us(std::chrono::steady_clock::duration d) {
+  return std::chrono::duration<double, std::micro>(d).count();
+}
+
+struct Percentiles {
+  double p50 = 0, p95 = 0, p99 = 0;
+};
+
+/// Nearest-rank percentiles of `latencies_us`, which it sorts in place.
+inline Percentiles percentiles(std::vector<double>& latencies_us) {
+  Percentiles out;
+  if (latencies_us.empty()) return out;
+  std::sort(latencies_us.begin(), latencies_us.end());
+  auto at = [&](double q) {
+    std::size_t i = static_cast<std::size_t>(
+        q * static_cast<double>(latencies_us.size() - 1));
+    return latencies_us[i];
+  };
+  out.p50 = at(0.50);
+  out.p95 = at(0.95);
+  out.p99 = at(0.99);
+  return out;
 }
 
 inline void finish(const Table& table, const ArgParser& parser) {

@@ -88,23 +88,8 @@ void BM_RgcnTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_RgcnTrainStep);
 
-void BM_CacheTraceSimulation(benchmark::State& state) {
-  const auto& spec = sample_region();
-  sim::MachineDesc machine = sim::MachineDesc::skylake();
-  sim::Trace trace = sim::generate_trace(spec.traits, 0, 24, 1.0, 0);
-  sim::PrefetcherConfig prefetch;
-  for (auto _ : state) {
-    sim::CoreCacheModel core(machine, prefetch);
-    for (const auto& access : trace.accesses) core.access(access);
-    benchmark::DoNotOptimize(core.stats().l1_hits);
-  }
-  state.SetItemsProcessed(state.iterations() * trace.accesses.size());
-}
-BENCHMARK(BM_CacheTraceSimulation);
-
 // All 16 prefetcher masks of the same trace in one call: one L1 pass per DCU
-// pair, each replayed into four L2 variants. Items are accesses x masks, so
-// its items/s compares directly with BM_CacheTraceSimulation's.
+// pair, each replayed into four L2 variants. Items are accesses x masks.
 void BM_CacheTraceAllMasks(benchmark::State& state) {
   const auto& spec = sample_region();
   sim::MachineDesc machine = sim::MachineDesc::skylake();

@@ -53,27 +53,9 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-double to_us(Clock::duration d) {
-  return std::chrono::duration<double, std::micro>(d).count();
-}
-
-struct Percentiles {
-  double p50 = 0, p99 = 0;
-};
-
-Percentiles percentiles(std::vector<double>& latencies_us) {
-  Percentiles out;
-  if (latencies_us.empty()) return out;
-  std::sort(latencies_us.begin(), latencies_us.end());
-  auto at = [&](double q) {
-    std::size_t i = static_cast<std::size_t>(
-        q * static_cast<double>(latencies_us.size() - 1));
-    return latencies_us[i];
-  };
-  out.p50 = at(0.50);
-  out.p99 = at(0.99);
-  return out;
-}
+using bench::Percentiles;
+using bench::percentiles;
+using bench::to_us;
 
 /// Closed loop: `connections` client threads, each its own TCP connection
 /// and `queries` synchronous predicts. Returns wrong-answer count; fills

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
 #include <limits>
-#include <numeric>
+#include <unordered_map>
 
+#include "graph/fingerprint.h"
 #include "ml/cross_validation.h"
 #include "ml/decision_tree.h"
 #include "ml/genetic_selector.h"
-#include "serve/server.h"
 #include "support/statistics.h"
 #include "support/thread_pool.h"
 #include "tensor/tensor.h"
@@ -24,20 +23,6 @@ double label_time(const sim::ExplorationTable& table,
                   const std::vector<int>& labels, std::size_t region,
                   int label) {
   return table.time[region][labels[label]];
-}
-
-/// The fold servers run unbounded, so every Response must come back Ok; a
-/// non-Ok response (a failed forward surfacing as Internal) means the
-/// experiment's numbers would be built on a label of -1 — fail loudly
-/// instead, in Release too (an assert would compile out under NDEBUG and
-/// let labels[-1] read out of bounds).
-void check_served(const serve::Response& response) {
-  if (response.ok()) return;
-  std::fprintf(stderr,
-               "run_experiment: fold server returned %s (%s); aborting "
-               "rather than folding a shed/failed query into the results\n",
-               response.status.code_name(), response.status.message());
-  std::abort();
 }
 
 gnn::ModelConfig model_config(const ExperimentOptions& options,
@@ -174,11 +159,29 @@ ExperimentResult run_experiment(const sim::MachineDesc& machine,
   // was in validation (drives Fig. 5 and the flag-selection strategies).
   std::vector<std::vector<int>> pred_by_seq(R, std::vector<int>(S, 0));
 
+  // Flag sequences often optimize a region to the same IR, so many of the
+  // R*S graphs are structurally identical. `distinct` keeps the first graph
+  // seen per fingerprint and variant[r][s] indexes it, so each fold runs one
+  // forward per distinct graph instead of one per (region, sequence).
+  std::vector<const graph::ProgramGraph*> distinct;
+  std::vector<std::vector<std::size_t>> variant(R, std::vector<std::size_t>(S));
+  {
+    std::unordered_map<std::uint64_t, std::size_t> index_of;
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t s = 0; s < S; ++s) {
+        const graph::ProgramGraph& g = dataset.graph(r, s);
+        auto [it, inserted] =
+            index_of.emplace(graph::fingerprint(g), distinct.size());
+        if (inserted) distinct.push_back(&g);
+        variant[r][s] = it->second;
+      }
+    }
+  }
+
   // Folds are embarrassingly parallel: each writes only the RegionOutcome /
   // pred_by_seq rows of its own (disjoint) validation regions, and every
   // model seeds from (seed, fold) — so fold order and thread count never
   // change a single bit of the result.
-  std::vector<serve::ServerStats> fold_serve_stats(folds.size());
   ml::for_each_fold(folds.size(), options.num_threads, [&](std::size_t f) {
     const ml::Fold& fold = folds[f];
     // Training set: every augmented variant of every training region.
@@ -194,98 +197,47 @@ ExperimentResult run_experiment(const sim::MachineDesc& machine,
         model_config(options, L, hash_combine64(options.seed, f)));
     model.train(train_graphs, train_labels);
 
-    // The fold's label queries stream through an inference server pinned to
-    // the freshly trained model: flag variants that optimized a region to
-    // the same IR share a structural fingerprint and are answered from the
-    // prediction cache instead of a second forward. background_loop stays
-    // off — the fold already runs inside the pool, so the querying thread
-    // drives the micro-batches itself; answers are bit-identical to the
-    // direct predict_into calls this replaces, for every batch composition.
-    // max_queue stays 0 (unbounded): experiment traffic is cooperative and
-    // may never be shed — every Response must come back Ok, which the
-    // asserts below and the zeroed shed counters in fig11's table pin.
-    serve::ServerConfig serve_config;
-    serve_config.background_loop = false;
-    serve_config.cache_capacity = 4096;
-    serve_config.max_queue = 0;
-    serve::InferenceServer server(serve::borrow_model(model), serve_config);
+    // One evaluate over the distinct graphs answers every (region, sequence)
+    // query of the fold; the inference driver's results do not depend on
+    // batch composition, so each answer equals a per-graph forward.
+    gnn::Evaluation eval;
+    model.evaluate(distinct, eval, /*want_embeddings=*/true);
 
     // Step E (explored method): best average sequence on training regions.
-    // The query loop reuses one graph-pointer batch and one response
-    // buffer; the model's persistent inference context recycles the packed
-    // GraphBatch underneath, so the S*folds queries stop rebuilding state.
     double best_seq_speedup = -1;
     int explored_seq = 0;
-    std::vector<const graph::ProgramGraph*> batch;
-    std::vector<serve::Response> responses;
     for (std::size_t s = 0; s < S; ++s) {
-      batch.clear();
-      for (int r : fold.train_indices) batch.push_back(&dataset.graph(r, s));
-      server.predict_batch(batch, responses);
       double total = 0;
-      for (std::size_t i = 0; i < responses.size(); ++i) {
-        check_served(responses[i]);
-        int r = fold.train_indices[i];
+      for (int r : fold.train_indices)
         total += result.table.time[r][result.table.default_index] /
                  label_time(result.table, result.labels, r,
-                            responses[i].label);
-      }
-      double avg = total / responses.size();
+                            eval.predictions[variant[r][s]]);
+      double avg = total / fold.train_indices.size();
       if (avg > best_seq_speedup) {
         best_seq_speedup = avg;
         explored_seq = static_cast<int>(s);
       }
     }
 
-    // Validation predictions: all sequences (Fig. 5) + the explored one.
-    for (std::size_t s = 0; s < S; ++s) {
-      batch.clear();
-      for (int r : fold.validation_indices)
-        batch.push_back(&dataset.graph(r, s));
-      server.predict_batch(batch, responses);
-      for (std::size_t i = 0; i < responses.size(); ++i) {
-        check_served(responses[i]);
-        pred_by_seq[fold.validation_indices[i]][s] = responses[i].label;
-      }
-    }
-    fold_serve_stats[f] = server.stats();
-    // Out-of-fold embeddings (graph vectors) from the fixed sequence 0 —
-    // the features of the hybrid and flag-prediction models. One evaluate()
-    // call shares a single batch build between the log-probs and the
-    // embeddings instead of re-packing the same graphs twice.
-    batch.clear();
-    for (int r : fold.validation_indices) batch.push_back(&dataset.graph(r, 0));
-    gnn::Evaluation eval;
-    model.evaluate(batch, eval, /*want_embeddings=*/true);
-    const int L_model = model.config().num_labels;
-    const int H = model.config().hidden_dim;
-    for (std::size_t i = 0; i < fold.validation_indices.size(); ++i) {
-      int r = fold.validation_indices[i];
-      result.regions[r].fold = static_cast<int>(f);
-      result.regions[r].static_label = pred_by_seq[r][explored_seq];
-      result.regions[r].embedding.assign(
-          eval.embeddings.begin() + i * static_cast<std::size_t>(H),
-          eval.embeddings.begin() + (i + 1) * static_cast<std::size_t>(H));
-      float best = -1e30f;
-      for (int l = 0; l < L_model; ++l)
-        best = std::max(best,
-                        eval.log_probs[i * static_cast<std::size_t>(L_model) +
-                                       static_cast<std::size_t>(l)]);
-      result.regions[r].static_confidence = std::exp(best);
+    // Validation predictions: all sequences (Fig. 5) + the explored one, and
+    // the out-of-fold embedding (graph vector) and confidence from the fixed
+    // sequence 0 — the features of the hybrid and flag-prediction models.
+    const std::size_t L_model = static_cast<std::size_t>(model.num_labels());
+    const std::size_t H = static_cast<std::size_t>(model.hidden_dim());
+    for (int r : fold.validation_indices) {
+      for (std::size_t s = 0; s < S; ++s)
+        pred_by_seq[r][s] = eval.predictions[variant[r][s]];
+      const std::size_t v = variant[r][0];
+      RegionOutcome& out = result.regions[r];
+      out.fold = static_cast<int>(f);
+      out.static_label = pred_by_seq[r][explored_seq];
+      out.embedding.assign(eval.embeddings.begin() + v * H,
+                           eval.embeddings.begin() + (v + 1) * H);
+      const auto row = eval.log_probs.begin() + v * L_model;
+      out.static_confidence = std::exp(*std::max_element(row, row + L_model));
     }
     if (f == 0) result.explored_sequence = explored_seq;
   });
-  // Serve traffic folds in fold order (counters, not floats, but the same
-  // deterministic-reduction discipline as everything else).
-  for (const serve::ServerStats& st : fold_serve_stats) {
-    result.serve_queries += st.queries;
-    result.serve_forwards += st.forwards;
-    result.serve_batches += st.batches;
-    result.serve_cache_hits += st.cache.hits;
-    result.serve_shed += st.shed;
-    result.serve_rejected += st.rejected;
-    result.serve_deadline_exceeded += st.deadline_exceeded;
-  }
 
   // Static errors/speedups from the explored-sequence predictions.
   for (std::size_t r = 0; r < R; ++r) {

@@ -104,19 +104,7 @@ struct ExperimentResult {
   double hybrid_router_accuracy = 0;
   double hybrid_profiled_fraction = 0;
 
-  // Serving-layer traffic (summed over folds in fold order). The fold query
-  // loops stream their region queries through serve::InferenceServer, so
-  // flag variants that optimize to structurally identical graphs are
-  // answered from the fingerprint-keyed prediction cache instead of a
-  // forward; deterministic for every thread count like everything above.
-  // The fold servers run unbounded (max_queue = 0), so the admission-
-  // control counters must read 0 — every query is admitted and answered;
-  // they are surfaced (fig11's serve table) precisely to pin that no
-  // experiment traffic is ever shed.
-  std::uint64_t serve_queries = 0;
-  std::uint64_t serve_forwards = 0;
-  std::uint64_t serve_batches = 0;
-  std::uint64_t serve_cache_hits = 0;
+  // Always 0 (no fold query goes through a server); perfbench still reads them.
   std::uint64_t serve_shed = 0;
   std::uint64_t serve_rejected = 0;
   std::uint64_t serve_deadline_exceeded = 0;

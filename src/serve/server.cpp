@@ -479,8 +479,7 @@ void InferenceServer::predict_batch(
   out.resize(graphs.size());
   // Admit every miss before waiting on any, so misses share micro-batches;
   // the first get() then pumps a full batch. Scratch recycles via the
-  // arena, keeping the steady-state query loops of callers like
-  // core::run_experiment off malloc.
+  // arena, keeping callers' steady-state query loops off malloc.
   support::PoolVector<std::pair<std::size_t, Future>> pending;
   pending.reserve(graphs.size());
   for (std::size_t i = 0; i < graphs.size(); ++i) {

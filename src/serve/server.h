@@ -35,9 +35,8 @@
 //   shared support::ThreadPool; in addition, any client waiting on a future
 //   pumps batches itself when no pumper is active, so the server also
 //   works with `background_loop = false` —
-//   required when servers are created inside pool-parallel work like the
-//   per-fold loop of core::run_experiment, where a parked loop task could
-//   otherwise starve.
+//   required when servers are created inside pool-parallel work, where a
+//   parked loop task could otherwise starve.
 //
 // Hot answers skip the forward: results are cached under
 // hash_combine64(model version, graph::fingerprint(graph)), and a warm hit
@@ -107,9 +106,8 @@ struct PublishedModel {
 };
 
 /// Non-owning ModelPtr over a caller-kept model (shared_ptr aliasing): for
-/// stack- or member-owned models served in-process, e.g. the per-fold
-/// models of core::run_experiment. The caller must keep `model` alive for
-/// the server's lifetime.
+/// stack- or member-owned models served in-process. The caller must keep
+/// `model` alive for the server's lifetime.
 inline ModelPtr borrow_model(const gnn::InferenceModel& model) {
   return ModelPtr(std::shared_ptr<void>(), &model);
 }
@@ -124,9 +122,9 @@ struct ServerConfig {
 
   /// Admission bound: at most this many admitted queries may be waiting for
   /// a batch (in-flight batches do not count). 0 means unbounded — the
-  /// right setting for cooperative in-process clients like the
-  /// core::run_experiment fold loops, where nothing may be shed. When the
-  /// bound is hit, `shed_policy` decides who pays (see request.h).
+  /// right setting for cooperative in-process clients, where nothing may be
+  /// shed. When the bound is hit, `shed_policy` decides who pays (see
+  /// request.h).
   std::size_t max_queue = 0;
   ShedPolicy shed_policy = ShedPolicy::Reject;
 

@@ -218,21 +218,6 @@ CacheStats L2Model::stats() const {
 
 // --- Composition ------------------------------------------------------------
 
-CoreCacheModel::CoreCacheModel(const MachineDesc& machine,
-                               const PrefetcherConfig& prefetch)
-    : l1_(machine, prefetch), l2_(machine, prefetch) {}
-
-void CoreCacheModel::access(const MemoryAccess& access) {
-  const L2Requests requests = l1_.access(access);
-  for (int i = 0; i < requests.size; ++i) l2_.request(requests.items[i]);
-}
-
-CacheStats CoreCacheModel::stats() const {
-  CacheStats s = l1_.stats();
-  s += l2_.stats();
-  return s;
-}
-
 std::array<CacheStats, 16> simulate_all_masks(
     const MachineDesc& machine, const std::vector<MemoryAccess>& trace) {
   // Mask bits 2 and 3 disable the DCU prefetchers, bits 0 and 1 the L2 ones.

@@ -19,9 +19,8 @@
 // hits or misses, and the L2 prefetchers only ever touch L2. So L1 state
 // depends on the two DCU bits alone, and the L1 half reduces an access to at
 // most three L2 requests (an IP-stride prefetch fill, a next-line prefetch
-// fill, a demand miss) that the L2 half consumes in order. CoreCacheModel
-// composes the halves for one prefetcher setting; simulate_all_masks runs
-// L1 once per DCU pair and replays each request log into the four L2
+// fill, a demand miss) that the L2 half consumes in order. simulate_all_masks
+// runs L1 once per DCU pair and replays each request log into the four L2
 // variants, yielding all 16 masks from one trace.
 #pragma once
 
@@ -194,22 +193,9 @@ class L2Model {
   int num_streams_ = 0;
 };
 
-/// One core's private cache hierarchy plus prefetchers under one prefetcher
-/// setting: the L1 half feeding the L2 half. Feed it a trace; read the stats.
-class CoreCacheModel {
- public:
-  CoreCacheModel(const MachineDesc& machine, const PrefetcherConfig& prefetch);
-
-  void access(const MemoryAccess& access);
-  CacheStats stats() const;
-
- private:
-  L1Model l1_;
-  L2Model l2_;
-};
-
 /// The CacheStats of `trace` under every MSR 0x1A4 mask, indexed by mask:
-/// element m equals CoreCacheModel(machine, from_msr_mask(m)) fed the trace.
+/// element m is one core's private L1+L2 hierarchy under
+/// PrefetcherConfig::from_msr_mask(m) fed the whole trace.
 std::array<CacheStats, 16> simulate_all_masks(
     const MachineDesc& machine, const std::vector<MemoryAccess>& trace);
 

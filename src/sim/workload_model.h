@@ -4,7 +4,7 @@
 // a set of memory streams (stride, footprint, irregularity, sharing,
 // read/write mix), an arithmetic intensity, branch behaviour and OpenMP
 // synchronization cost. The trace generator lowers one phase into a
-// per-thread synthetic access trace that the CoreCacheModel consumes; the
+// per-thread synthetic access trace that simulate_all_masks consumes; the
 // NUMA-level Simulator combines the cache statistics with the machine's
 // latency/bandwidth/topology model.
 //

@@ -66,36 +66,4 @@ class Adam {
   int t_ = 0;
 };
 
-/// Plain SGD with optional momentum (used in ablation tests).
-class Sgd {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f)
-      : params_(std::move(params)), lr_(lr), momentum_(momentum) {
-    for (const Tensor& p : params_)
-      velocity_.emplace_back(static_cast<std::size_t>(p.numel()), 0.0f);
-  }
-
-  void zero_grad() {
-    for (Tensor& p : params_) p.zero_grad();
-  }
-
-  void step() {
-    for (std::size_t k = 0; k < params_.size(); ++k) {
-      Tensor& p = params_[k];
-      float* w = p.data();
-      float* g = p.grad();
-      for (std::int64_t i = 0; i < p.numel(); ++i) {
-        velocity_[k][i] = momentum_ * velocity_[k][i] - lr_ * g[i];
-        w[i] += velocity_[k][i];
-      }
-    }
-  }
-
- private:
-  std::vector<Tensor> params_;
-  float lr_;
-  float momentum_;
-  std::vector<support::PoolVector<float>> velocity_;
-};
-
 }  // namespace irgnn::tensor

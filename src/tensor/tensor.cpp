@@ -292,45 +292,10 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   return elementwise(a, b, 0.0f, true);
 }
 
-Tensor add_bias(const Tensor& a, const Tensor& b) {
-  return add_bias_act(a, b, Act::None);
-}
-
 namespace {
 
-inline float apply_act(float x, Act act) {
-  switch (act) {
-    case Act::Relu:
-      return x > 0.0f ? x : 0.0f;
-    case Act::Tanh:
-      return std::tanh(x);
-    case Act::Sigmoid:
-      return 1.0f / (1.0f + std::exp(-x));
-    case Act::None:
-      break;
-  }
-  return x;
-}
-
-/// d act / d pre-activation, expressed through the activation's own output y
-/// (all three activations allow that, which spares caching the input).
-inline float act_derivative(float y, Act act) {
-  switch (act) {
-    case Act::Relu:
-      return y > 0.0f ? 1.0f : 0.0f;
-    case Act::Tanh:
-      return 1.0f - y * y;
-    case Act::Sigmoid:
-      return y * (1.0f - y);
-    case Act::None:
-      break;
-  }
-  return 1.0f;
-}
-
-/// y[0..n) = act(a[0..n) + b[0..n)). The add is 8-wide; relu stays 8-wide
-/// via max (bit-identical to the scalar `x > 0 ? x : 0`), tanh/sigmoid
-/// transform the stored sums with scalar libm calls.
+/// y[0..n) = act(a[0..n) + b[0..n)), 8-wide; relu via max is bit-identical
+/// to the scalar `x > 0 ? x : 0` of the tail.
 void bias_act_row(const float* a, const float* b, float* y, std::int64_t n,
                   Act act) {
   std::int64_t j = 0;
@@ -342,29 +307,10 @@ void bias_act_row(const float* a, const float* b, float* y, std::int64_t n,
     for (; j + simd::kLanes <= n; j += simd::kLanes)
       (v8f::load(a + j) + v8f::load(b + j)).store(y + j);
   }
-  for (; j < n; ++j) y[j] = apply_act(a[j] + b[j], act);
-  if (act == Act::Tanh || act == Act::Sigmoid) {
-    // The vector blocks above stored the raw sums; finish them scalar. The
-    // tail already applied the activation.
-    for (std::int64_t t = 0; t < n - (n % simd::kLanes); ++t)
-      y[t] = apply_act(y[t], act);
+  for (; j < n; ++j) {
+    const float x = a[j] + b[j];
+    y[j] = act == Act::Relu ? (x > 0.0f ? x : 0.0f) : x;
   }
-}
-
-/// gd[0..8) = g * dact(y) for one 8-lane block, matching act_derivative's
-/// scalar expressions lane for lane (same multiplication association).
-inline v8f act_backward_block(v8f g, v8f y, Act act) {
-  switch (act) {
-    case Act::Relu:
-      return v8f::where_gt_zero(y, g);
-    case Act::Tanh:
-      return g * (v8f::broadcast(1.0f) - y * y);
-    case Act::Sigmoid:
-      return g * (y * (v8f::broadcast(1.0f) - y));
-    case Act::None:
-      break;
-  }
-  return g;
 }
 
 }  // namespace
@@ -390,15 +336,19 @@ Tensor add_bias_act(const Tensor& a, const Tensor& b, Act act) {
             float* garow = A.requires_grad ? A.grad.data() + i * n : nullptr;
             float* gb = B.requires_grad ? B.grad.data() : nullptr;
             std::int64_t j = j0;
+            // relu's derivative is read off its output: y > 0 passes g.
             for (; j + simd::kLanes <= j1; j += simd::kLanes) {
-              v8f gd = act_backward_block(v8f::load(grow + j),
-                                          v8f::load(yrow + j), act);
+              v8f gd = v8f::load(grow + j);
+              if (act == Act::Relu)
+                gd = v8f::where_gt_zero(v8f::load(yrow + j), gd);
               if (garow != nullptr)
                 (v8f::load(garow + j) + gd).store(garow + j);
               if (gb != nullptr) (v8f::load(gb + j) + gd).store(gb + j);
             }
             for (; j < j1; ++j) {
-              float gd = grow[j] * act_derivative(yrow[j], act);
+              float gd = act == Act::Relu
+                             ? grow[j] * (yrow[j] > 0.0f ? 1.0f : 0.0f)
+                             : grow[j];
               if (garow != nullptr) garow[j] += gd;
               if (gb != nullptr) gb[j] += gd;
             }
@@ -436,30 +386,6 @@ Tensor relu(const Tensor& a) {
   });
   for (std::size_t i = 0; i < node->data.size(); ++i)
     node->data[i] = std::max(0.0f, a.data()[i]);
-  return Tensor(node);
-}
-
-Tensor tanh_t(const Tensor& a) {
-  auto node = make_op_node(a.shape(), {a.node()}, [](Node& out) {
-    Node& A = *out.parents[0];
-    if (!A.requires_grad) return;
-    for (std::size_t i = 0; i < out.data.size(); ++i)
-      A.grad[i] += (1.0f - out.data[i] * out.data[i]) * out.grad[i];
-  });
-  for (std::size_t i = 0; i < node->data.size(); ++i)
-    node->data[i] = std::tanh(a.data()[i]);
-  return Tensor(node);
-}
-
-Tensor sigmoid(const Tensor& a) {
-  auto node = make_op_node(a.shape(), {a.node()}, [](Node& out) {
-    Node& A = *out.parents[0];
-    if (!A.requires_grad) return;
-    for (std::size_t i = 0; i < out.data.size(); ++i)
-      A.grad[i] += out.data[i] * (1.0f - out.data[i]) * out.grad[i];
-  });
-  for (std::size_t i = 0; i < node->data.size(); ++i)
-    node->data[i] = 1.0f / (1.0f + std::exp(-a.data()[i]));
   return Tensor(node);
 }
 
@@ -733,14 +659,6 @@ int argmax_row(const float* row, int n) {
   for (int j = 1; j < n; ++j)
     if (row[j] > row[best]) best = j;
   return best;
-}
-
-std::vector<int> argmax_rows(const Tensor& x) {
-  std::vector<int> out(x.rows());
-  for (int i = 0; i < x.rows(); ++i)
-    out[i] = argmax_row(x.data() + static_cast<std::int64_t>(i) * x.cols(),
-                        x.cols());
-  return out;
 }
 
 }  // namespace irgnn::tensor

@@ -174,11 +174,8 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 /// Elementwise addition of same-shape tensors.
 Tensor add(const Tensor& a, const Tensor& b);
 
-/// Adds a row vector b[1,n] to every row of a[m,n].
-Tensor add_bias(const Tensor& a, const Tensor& b);
-
 /// Pointwise activations fusable into add_bias_act.
-enum class Act { None, Relu, Tanh, Sigmoid };
+enum class Act { None, Relu };
 
 /// Fused act(a + broadcast bias): one pass over the data instead of two ops
 /// and an intermediate tape node. b is [1,n], a is [m,n].
@@ -192,8 +189,6 @@ Tensor mul(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, float s);
 
 Tensor relu(const Tensor& a);
-Tensor tanh_t(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
 
 /// Row-wise layer normalization with learnable gamma/beta (both [1,n]).
 Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
@@ -224,11 +219,7 @@ Tensor nll_loss(const Tensor& log_probs, const std::vector<int>& targets);
 Tensor dropout(const Tensor& x, float p, Rng& rng, bool training);
 
 /// argmax of one contiguous row (strict >, first maximum wins) — the
-/// non-allocating primitive behind argmax_rows and the inference engine's
-/// prediction loops.
+/// non-allocating primitive behind the inference engine's prediction loops.
 int argmax_row(const float* row, int n);
-
-/// argmax per row.
-std::vector<int> argmax_rows(const Tensor& x);
 
 }  // namespace irgnn::tensor

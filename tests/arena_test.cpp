@@ -152,7 +152,7 @@ struct StepFixture {
     h = tensor::index_add_rows(h, scatter_dst, scatter_coeff, 24);
     Tensor pooled = tensor::segment_mean(h, seg, 4);
     Tensor logits = tensor::add_bias_act(tensor::matmul(pooled, w2), b2,
-                                         Act::Tanh);
+                                         Act::None);
     Tensor loss = tensor::nll_loss(tensor::log_softmax(logits), targets);
     loss.backward();
     adam.step();

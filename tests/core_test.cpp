@@ -3,8 +3,12 @@
 // input-size study. These exercise every module in concert.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "core/dataset.h"
 #include "core/experiment.h"
+#include "support/rng.h"
 
 namespace irgnn::core {
 namespace {
@@ -21,6 +25,36 @@ ExperimentOptions tiny_options() {
   options.seed = 33;
   return options;
 }
+
+/// Folds the bit pattern of `value` into `h`.
+template <typename T>
+std::uint64_t fold_bits(std::uint64_t h, T value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof value);
+  return hash_combine64(h, bits);
+}
+
+/// Digest of the per-region predictions (fold, static/dynamic/hybrid labels,
+/// static confidence, embedding bits) and the flag-sequence landscape.
+std::uint64_t experiment_digest(const ExperimentResult& res) {
+  std::uint64_t h = hash_combine64(res.regions.size(), res.labels.size());
+  for (const RegionOutcome& region : res.regions) {
+    h = hash_combine64(h, static_cast<std::uint64_t>(region.fold));
+    h = hash_combine64(h, static_cast<std::uint64_t>(region.static_label));
+    h = hash_combine64(h, static_cast<std::uint64_t>(region.dynamic_label));
+    h = hash_combine64(h, region.hybrid_profiled ? 1u : 0u);
+    h = fold_bits(h, region.static_confidence);
+    for (float v : region.embedding) h = fold_bits(h, v);
+  }
+  for (double v : res.sequence_speedup) h = fold_bits(h, v);
+  h = fold_bits(h, res.predicted_speedup);
+  return hash_combine64(h, static_cast<std::uint64_t>(res.explored_sequence));
+}
+
+// Recorded with the fold predictions still served through a per-fold
+// inference server; evaluating each distinct graph once per fold must keep
+// every bit. Holds for IRGNN_NUM_THREADS=1 and 4.
+constexpr std::uint64_t kTinySkylakeExperimentDigest = 0x4aa13d91638796f6ull;
 
 TEST(DatasetTest, BuildsGraphsForAllRegionsAndSequences) {
   const auto dataset = build_dataset_shared({3, 7});
@@ -97,6 +131,10 @@ TEST(ExperimentTest, EndToEndShapeAndInvariants) {
                  std::abs(region.hybrid_speedup - region.dynamic_speedup));
     EXPECT_LT(hybrid_vs_members, 1e-9);
   }
+
+  const std::uint64_t digest = experiment_digest(res);
+  EXPECT_EQ(digest, kTinySkylakeExperimentDigest) << std::hex << "0x"
+                                                  << digest;
 }
 
 TEST(ExperimentTest, DeterministicForSeed) {

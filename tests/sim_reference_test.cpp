@@ -301,13 +301,6 @@ TEST(SimReferenceTest, AllMasksMatchReferenceOnRandomTraces) {
       const std::string what =
           machines[m].name + " seed " + std::to_string(seed);
       ASSERT_TRUE(diff_all_masks(machines[m], trace, what));
-      // CoreCacheModel composes the same halves one mask at a time.
-      for (int mask : {0, 5, 10, 15}) {
-        CoreCacheModel core(machines[m], PrefetcherConfig::from_msr_mask(mask));
-        for (const MemoryAccess& access : trace) core.access(access);
-        expect_same(core.stats(), reference_stats(machines[m], mask, trace),
-                    what + " CoreCacheModel mask " + std::to_string(mask));
-      }
     }
   }
 }

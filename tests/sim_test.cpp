@@ -95,64 +95,57 @@ MemoryAccess make_access(std::uint64_t address, std::uint32_t pc = 1) {
 }
 
 TEST(PrefetcherTest, NextLineTurnsStreamIntoHits) {
-  MachineDesc machine = MachineDesc::skylake();
   PrefetcherConfig off = PrefetcherConfig::from_msr_mask(0xF);
   PrefetcherConfig next_only = off;
   next_only.dcu_next_line = true;
 
-  auto run = [&](const PrefetcherConfig& pf) {
-    CoreCacheModel core(machine, pf);
-    for (std::uint64_t i = 0; i < 4000; ++i)
-      core.access(make_access(i * 64));  // unit-line stride
-    return core.stats();
-  };
-  CacheStats off_stats = run(off);
-  CacheStats on_stats = run(next_only);
+  std::vector<MemoryAccess> trace;
+  for (std::uint64_t i = 0; i < 4000; ++i)
+    trace.push_back(make_access(i * 64));  // unit-line stride
+  const auto all = simulate_all_masks(MachineDesc::skylake(), trace);
+  const CacheStats& off_stats = all[off.msr_mask()];
+  const CacheStats& on_stats = all[next_only.msr_mask()];
   EXPECT_GT(on_stats.l1_hit_rate(), off_stats.l1_hit_rate() + 0.3);
   EXPECT_GT(on_stats.prefetch_hits, 0u);
 }
 
 TEST(PrefetcherTest, IpStrideCoversLargeStrides) {
-  MachineDesc machine = MachineDesc::skylake();
   PrefetcherConfig off = PrefetcherConfig::from_msr_mask(0xF);
   PrefetcherConfig ip_only = off;
   ip_only.dcu_ip = true;
 
-  auto run = [&](const PrefetcherConfig& pf) {
-    CoreCacheModel core(machine, pf);
-    for (std::uint64_t i = 0; i < 4000; ++i)
-      core.access(make_access(i * 1024, /*pc=*/5));  // 1KB stride
-    return core.stats();
-  };
-  EXPECT_GT(run(ip_only).l1_hit_rate(), run(off).l1_hit_rate() + 0.3);
+  std::vector<MemoryAccess> trace;
+  for (std::uint64_t i = 0; i < 4000; ++i)
+    trace.push_back(make_access(i * 1024, /*pc=*/5));  // 1KB stride
+  const auto all = simulate_all_masks(MachineDesc::skylake(), trace);
+  EXPECT_GT(all[ip_only.msr_mask()].l1_hit_rate(),
+            all[off.msr_mask()].l1_hit_rate() + 0.3);
 }
 
 TEST(PrefetcherTest, StreamerHelpsL2OnLineStreams) {
-  MachineDesc machine = MachineDesc::skylake();
   PrefetcherConfig off = PrefetcherConfig::from_msr_mask(0xF);
   PrefetcherConfig streamer_only = off;
   streamer_only.l2_streamer = true;
 
-  auto run = [&](const PrefetcherConfig& pf) {
-    CoreCacheModel core(machine, pf);
-    // Footprint larger than L1 so L2 matters; forward stream.
-    for (std::uint64_t i = 0; i < 6000; ++i)
-      core.access(make_access(i * 64 * 2));
-    return core.stats();
-  };
-  EXPECT_GT(run(streamer_only).l2_local_hit_rate(),
-            run(off).l2_local_hit_rate() + 0.2);
+  // Footprint larger than L1 so L2 matters; forward stream.
+  std::vector<MemoryAccess> trace;
+  for (std::uint64_t i = 0; i < 6000; ++i)
+    trace.push_back(make_access(i * 64 * 2));
+  const auto all = simulate_all_masks(MachineDesc::skylake(), trace);
+  EXPECT_GT(all[streamer_only.msr_mask()].l2_local_hit_rate(),
+            all[off.msr_mask()].l2_local_hit_rate() + 0.2);
 }
 
 TEST(PrefetcherTest, RandomAccessMakesPrefetchingWasteful) {
-  MachineDesc machine = MachineDesc::skylake();
   PrefetcherConfig all_on;  // default: everything enabled
-  CoreCacheModel core(machine, all_on);
   irgnn::Rng rng(3);
+  std::vector<MemoryAccess> trace;
   for (int i = 0; i < 6000; ++i)
-    core.access(make_access(rng.next_below(1ull << 26)));
-  EXPECT_LT(core.stats().prefetch_accuracy(), 0.2);
-  EXPECT_GT(core.stats().prefetches_issued, 1000u);
+    trace.push_back(make_access(rng.next_below(1ull << 26)));
+  const CacheStats stats =
+      simulate_all_masks(MachineDesc::skylake(), trace)[all_on.msr_mask()];
+  EXPECT_LT(stats.prefetch_accuracy(), 0.2);
+  EXPECT_GT(stats.prefetches_issued, 1000u);
 }
 
 TEST(ConfigTest, SpaceSizesMatchPaper) {

@@ -118,19 +118,10 @@ TEST(TensorTest, ElementwiseGradients) {
 TEST(TensorTest, ActivationGradients) {
   Rng rng(3);
   Tensor a = Tensor::xavier({4, 4}, rng);
-  grad_check(a, [&] { return sum_all(tanh_t(a)); });
-  grad_check(a, [&] { return sum_all(sigmoid(a)); });
   // relu is non-differentiable at 0; nudge values away from it.
   for (int i = 0; i < a.numel(); ++i)
     if (std::fabs(a.data()[i]) < 0.1f) a.data()[i] = 0.5f;
   grad_check(a, [&] { return sum_all(relu(a)); });
-}
-
-TEST(TensorTest, AddBiasGradient) {
-  Rng rng(4);
-  Tensor a = Tensor::xavier({3, 4}, rng);
-  Tensor b = Tensor::xavier({1, 4}, rng);
-  grad_check(b, [&] { return sum_all(add_bias(a, b)); });
 }
 
 TEST(TensorTest, FusedBiasActivationMatchesUnfused) {
@@ -139,17 +130,8 @@ TEST(TensorTest, FusedBiasActivationMatchesUnfused) {
   Tensor b = Tensor::xavier({1, 6}, rng);
   Tensor fused_relu = add_bias_act(a, b, Act::Relu);
   Tensor unfused_relu = relu(add_bias_act(a, b, Act::None));
-  Tensor fused_tanh = add_bias_act(a, b, Act::Tanh);
-  Tensor unfused_tanh = tanh_t(add_bias_act(a, b, Act::None));
-  Tensor fused_sig = add_bias_act(a, b, Act::Sigmoid);
-  Tensor unfused_sig = sigmoid(add_bias_act(a, b, Act::None));
-  for (int i = 0; i < a.numel(); ++i) {
+  for (int i = 0; i < a.numel(); ++i)
     EXPECT_EQ(fused_relu.node()->data[i], unfused_relu.node()->data[i]);
-    EXPECT_NEAR(fused_tanh.node()->data[i], unfused_tanh.node()->data[i],
-                1e-7f);
-    EXPECT_NEAR(fused_sig.node()->data[i], unfused_sig.node()->data[i],
-                1e-7f);
-  }
 }
 
 TEST(TensorTest, FusedBiasActivationGradients) {
@@ -159,9 +141,10 @@ TEST(TensorTest, FusedBiasActivationGradients) {
   // relu is non-differentiable at 0; nudge pre-activations away from it.
   for (int i = 0; i < a.numel(); ++i)
     if (std::fabs(a.data()[i]) < 0.1f) a.data()[i] = 0.4f;
-  grad_check(a, [&] { return sum_all(add_bias_act(a, b, Act::Tanh)); });
-  grad_check(b, [&] { return sum_all(add_bias_act(a, b, Act::Tanh)); });
-  grad_check(a, [&] { return sum_all(add_bias_act(a, b, Act::Sigmoid)); });
+  grad_check(a, [&] { return sum_all(mul(add_bias_act(a, b, Act::None),
+                                         add_bias_act(a, b, Act::None))); });
+  grad_check(b, [&] { return sum_all(mul(add_bias_act(a, b, Act::None),
+                                         add_bias_act(a, b, Act::None))); });
   grad_check(a, [&] { return sum_all(mul(add_bias_act(a, b, Act::Relu),
                                          add_bias_act(a, b, Act::Relu))); });
 }
@@ -245,11 +228,11 @@ TEST(TensorTest, DropoutIdentityInEval) {
   EXPECT_EQ(y.at(0, 0), 3.0f);
 }
 
-TEST(TensorTest, ArgmaxRows) {
-  Tensor x = Tensor::from_data({2, 3}, {1, 5, 2, 9, 0, 3});
-  auto idx = argmax_rows(x);
-  EXPECT_EQ(idx[0], 1);
-  EXPECT_EQ(idx[1], 0);
+TEST(TensorTest, ArgmaxRow) {
+  const float x[] = {1, 5, 2, 9, 0, 3, 4, 4};
+  EXPECT_EQ(argmax_row(x, 3), 1);
+  EXPECT_EQ(argmax_row(x + 3, 3), 0);
+  EXPECT_EQ(argmax_row(x + 6, 2), 0);  // first maximum wins a tie
 }
 
 TEST(OptimizerTest, AdamMinimizesQuadratic) {
@@ -266,18 +249,6 @@ TEST(OptimizerTest, AdamMinimizesQuadratic) {
   }
   for (int i = 0; i < 4; ++i)
     EXPECT_NEAR(w.data()[i], target.data()[i], 0.05f);
-}
-
-TEST(OptimizerTest, SgdMomentumMinimizes) {
-  Tensor w = Tensor::full({1, 2}, 5.0f, true);
-  Sgd sgd({w}, 0.05f, 0.9f);
-  for (int step = 0; step < 200; ++step) {
-    sgd.zero_grad();
-    Tensor loss = sum_all(mul(w, w));
-    loss.backward();
-    sgd.step();
-  }
-  EXPECT_NEAR(w.data()[0], 0.0f, 0.05f);
 }
 
 // --- SIMD bit-identity ------------------------------------------------------
@@ -588,25 +559,12 @@ TEST(SimdTest, AddBiasActBitIdenticalToScalar) {
     Rng rng(600 + n);
     Tensor a = Tensor::xavier({m, n}, rng);
     Tensor b = Tensor::xavier({1, n}, rng);
-    for (Act act : {Act::None, Act::Relu, Act::Tanh, Act::Sigmoid}) {
+    for (Act act : {Act::None, Act::Relu}) {
       Tensor y = add_bias_act(a, b, act);
       for (int i = 0; i < m; ++i)
         for (int j = 0; j < n; ++j) {
           float pre = a.at(i, j) + b.at(0, j);
-          float ref = pre;
-          switch (act) {
-            case Act::Relu:
-              ref = pre > 0.0f ? pre : 0.0f;
-              break;
-            case Act::Tanh:
-              ref = std::tanh(pre);
-              break;
-            case Act::Sigmoid:
-              ref = 1.0f / (1.0f + std::exp(-pre));
-              break;
-            case Act::None:
-              break;
-          }
+          float ref = act == Act::Relu && !(pre > 0.0f) ? 0.0f : pre;
           ASSERT_EQ(y.at(i, j), ref)
               << "act " << static_cast<int>(act) << " n=" << n << " (" << i
               << "," << j << ")";
